@@ -9,12 +9,14 @@ layout) may differ, because that block records *how* the table was produced,
 never *what* it contains.
 
 ``--chaos`` additionally replays every bundled fault plan
-(:func:`repro.faultinject.bundled_plans`) against the parallel run: worker
-kills, double transient errors, timeout stalls, and torn checkpoint writes
+(:func:`repro.faultinject.bundled_plans`) against the parallel run, each
+with a fresh stream directory so recovery is exercised against the one
+durable store: worker kills, double transient errors, and timeout stalls
 must all be survived **bit-identically** to the serial table, and the
 poison-point plan must quarantine exactly its designed point while every
-other row still matches the serial run.  The chaos phase finishes with a
-churn-under-worker-faults plan: the bundled dynamic-membership sweep
+other row still matches the serial run.  The streaming-sink disk-fault
+plans follow (torn writes, ENOSPC, fsync errors).  The chaos phase finishes
+with a churn-under-worker-faults plan: the bundled dynamic-membership sweep
 (``examples/specs/e8_churn.json``) run under the worker-kill plan must also
 recover bit-identically — vectorized churn state (tombstones, joins, node
 compaction) must survive a mid-sweep pool restart.
@@ -118,13 +120,13 @@ def run_chaos(spec, point_count, workers, serial_table) -> int:
     exit_code = 0
     for name, plan in bundled_plans(point_count, stall_duration=8.0).items():
         start = time.perf_counter()
-        with tempfile.TemporaryDirectory() as checkpoint_dir:
+        with tempfile.TemporaryDirectory() as stream_dir:
             chaos_table = run_spec(
                 spec,
                 workers=workers,
                 retry=retry,
                 fault_plan=plan,
-                checkpoint_dir=checkpoint_dir,
+                stream_dir=stream_dir,
             ).to_table()
         elapsed = time.perf_counter() - start
         provenance = chaos_table.metadata["distributed"]
@@ -204,13 +206,13 @@ def run_churn_chaos(workers) -> int:
         timeout_seconds=30.0,
     )
     start = time.perf_counter()
-    with tempfile.TemporaryDirectory() as checkpoint_dir:
+    with tempfile.TemporaryDirectory() as stream_dir:
         chaos_table = run_spec(
             spec,
             workers=workers,
             retry=retry,
             fault_plan=plan,
-            checkpoint_dir=checkpoint_dir,
+            stream_dir=stream_dir,
         ).to_table()
     elapsed = time.perf_counter() - start
     provenance = chaos_table.metadata["distributed"]

@@ -1,13 +1,12 @@
-"""Crash-safe streaming result sink for scenario sweeps.
+"""Crash-safe streaming result sink: the one durable store of a sweep.
 
-``repro.dist`` holds merged sweep results in memory and (optionally) writes
-one checkpoint file per point.  For 10⁴–10⁶-point grids that is the wrong
-shape twice over: memory grows with the grid, and a crash between
-checkpoint writes can still lose completed work.  This module provides the
-third result path: every completed grid point is **appended** to an
-on-disk segment file as one self-validating record, durable up to a
-configurable fsync cadence, and the merged table is produced by a
-**streaming** k-way merge whose memory is O(segments), not O(points).
+Every completed grid point of a sweep run with a stream directory is
+**appended** to an on-disk segment file as one self-validating record,
+durable up to a configurable fsync cadence, and the merged table is produced
+by a **streaming** k-way merge whose memory is O(segments), not O(points).
+Resume, interrupt recovery and multi-host reassembly all read this one
+store; without a stream directory a sweep keeps its results in memory and
+persists nothing.
 
 Record format (one per line, "length-prefixed-and-checksummed JSONL")::
 
@@ -36,10 +35,19 @@ record per segment.  Each new segment is registered in the sink's
 **manifest** (``manifest.json``) *before* its first byte is written; the
 manifest commit is an atomic rename followed by a directory fsync
 (:func:`~repro.dist.durability.atomic_write_text`), and it carries the
-scenario's :func:`~repro.dist.checkpoint.spec_fingerprint` so a stream
-directory can only ever be resumed by the exact scenario that produced it.
-Sharded sweeps write disjoint manifests (``manifest-<tag>.json``) so
-multiple hosts can share one collection directory.
+scenario's :func:`spec_fingerprint` so a stream directory can only ever be
+resumed by the exact scenario that produced it.
+
+Shared collection directories
+-----------------------------
+
+Sharded sweeps write disjoint manifests (``manifest-<tag>.json`` and
+``segment-<tag>-*.jsonl``), so the directories of several hosts can be
+combined into one.  A *resuming* sink counts as done every valid record
+listed in **any** manifest of the directory, and its merge reads all of
+them.  It only ever writes, truncates or quarantines its own tag's files: a
+torn tail in a sibling's segment just means the points past the tear re-run
+into the resuming sink's own segments.
 
 Durability and degradation
 --------------------------
@@ -57,6 +65,7 @@ far durable and resumable.
 from __future__ import annotations
 
 import errno
+import hashlib
 import heapq
 import json
 import logging
@@ -67,7 +76,6 @@ from pathlib import Path
 from typing import (
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -80,7 +88,6 @@ from ..core.errors import ConfigurationError, ReproError
 from ..core.metrics import RunResult
 from ..spec.run import PointRun
 from ..spec.scenario import ScenarioSpec
-from .checkpoint import spec_fingerprint
 from .durability import atomic_write_text, fsync_dir, fsync_fileobj
 
 __all__ = [
@@ -88,6 +95,7 @@ __all__ = [
     "SinkError",
     "SinkFullError",
     "SinkWriteError",
+    "spec_fingerprint",
     "encode_record",
     "iter_records",
     "scan_segment",
@@ -108,6 +116,20 @@ _HEADER_BYTES = 18
 _HEADER_RE = re.compile(rb"^[0-9a-f]{8} [0-9a-f]{8} $")
 
 PathLike = Union[str, Path]
+
+#: What a manifest may list: this or a sibling tag's segment, never a path.
+_SEGMENT_NAME_RE = re.compile(r"segment-(?:[A-Za-z0-9_-]+-)?\d{4,}\.jsonl")
+
+
+def spec_fingerprint(spec: ScenarioSpec) -> str:
+    """A stable content hash of the full-grid scenario spec.
+
+    Key-sorted canonical JSON hashed with SHA-256: two specs fingerprint
+    equal iff their serialised forms are identical, so a stream directory
+    can only be resumed by the exact scenario that produced it.
+    """
+    canonical = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class SinkError(ReproError):
@@ -186,17 +208,22 @@ def _read_record(handle) -> Optional[Dict[str, object]]:
     return record
 
 
-def iter_records(path: PathLike) -> Iterator[Dict[str, object]]:
+def iter_records(
+    path: PathLike, end: Optional[int] = None
+) -> Iterator[Dict[str, object]]:
     """Yield the validated record payloads of one segment file, in order.
 
     Strict: an invalid (torn) record raises :class:`SinkError` — read-only
     consumers must not guess past damage.  Open the directory through
     :class:`StreamingResultSink` (``resume=True``) first to repair torn
-    tails; after recovery every segment iterates cleanly.
+    tails; after recovery every segment iterates cleanly.  ``end`` stops
+    the read at that byte offset (a record boundary from
+    :func:`scan_segment`), so a segment this process may not repair is read
+    up to its last valid record only.
     """
     source = Path(path)
     with source.open("rb") as handle:
-        while True:
+        while end is None or handle.tell() < end:
             try:
                 record = _read_record(handle)
             except EOFError:
@@ -251,7 +278,7 @@ class StreamingResultSink:
         The stream directory; created (with parents) on demand.
     spec:
         The full-grid scenario.  Its fingerprint is committed into the
-        manifest and verified on resume, exactly like checkpoints.
+        manifest and verified on resume.
     fsync_every:
         Fsync the active segment after every N appended records (default 1
         — every record durable before the sweep proceeds).  Larger values
@@ -265,10 +292,11 @@ class StreamingResultSink:
         Distinguishes manifests of sharded sweeps sharing one collection
         directory (``manifest-<tag>.json`` + ``segment-<tag>-*.jsonl``).
     resume:
-        Recover the directory's existing records (repairing torn tails)
-        and continue after them.  Without ``resume``, a directory that
-        already holds records for this scenario is refused — silently
-        appending would duplicate grid points.
+        Recover the directory's existing records (repairing this tag's torn
+        tails) and continue after them; the valid records of every other
+        tag's manifest in the directory count as done too, read-only.
+        Without ``resume``, a directory that already holds records of this
+        tag is refused — silently appending would duplicate grid points.
     append_hook / fsync_hook:
         Fault-injection seams (:mod:`repro.faultinject`): called with the
         record's grid index just before the write / just before each fsync.
@@ -318,9 +346,15 @@ class StreamingResultSink:
         self.torn_quarantined: List[str] = []
 
         self._segments: List[str] = []
+        # Other tags' segments adopted on resume: (path, end of valid prefix).
+        self._sibling_segments: List[Tuple[Path, int]] = []
         self._next_seq = 0
         recovered: List[int] = []
-        manifest = self._load_manifest()
+        manifest = (
+            self._read_manifest(self.manifest_path)
+            if self.manifest_path.exists()
+            else None
+        )
         if manifest is not None or self._existing_segment_names():
             if not resume:
                 raise ConfigurationError(
@@ -329,6 +363,8 @@ class StreamingResultSink:
                     "continue it, or use a fresh directory"
                 )
             recovered = self._recover(manifest)
+        if resume:
+            recovered.extend(self._adopt_siblings(set(recovered)))
         self.recovered_indices = frozenset(recovered)
         self.records_recovered = len(recovered)
 
@@ -358,10 +394,7 @@ class StreamingResultSink:
 
     # -- manifest ----------------------------------------------------------------
 
-    def _load_manifest(self) -> Optional[Dict[str, object]]:
-        path = self.manifest_path
-        if not path.exists():
-            return None
+    def _read_manifest(self, path: Path) -> Dict[str, object]:
         try:
             manifest = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as error:
@@ -379,8 +412,8 @@ class StreamingResultSink:
             )
         if manifest.get("fingerprint") != self.fingerprint:
             raise ConfigurationError(
-                f"stream directory {self.directory} belongs to a different "
-                "scenario (spec fingerprint mismatch); point it at a fresh "
+                f"stream manifest {path} belongs to a different scenario "
+                "(spec fingerprint mismatch); point the sweep at a fresh "
                 "directory or delete the stale stream"
             )
         return manifest
@@ -430,7 +463,7 @@ class StreamingResultSink:
         self._segments = listed + orphans
         if orphans:
             self._commit_manifest()
-        recovered: List[int] = []
+        recovered: set = set()
         for name in self._segments:
             path = self.directory / name
             if not path.exists():
@@ -440,31 +473,62 @@ class StreamingResultSink:
             indices, valid_end, torn = scan_segment(path)
             if torn:
                 self._quarantine_tail(path, valid_end)
-            previous = None
-            for index in indices:
-                if previous is not None and index <= previous:
-                    raise SinkError(
-                        f"segment {path} is not an ascending run (index "
-                        f"{index} after {previous}); segments written by "
-                        "this sink are always sorted — the file was "
-                        "modified externally"
-                    )
-                previous = index
-            duplicates = set(indices) & set(recovered)
-            if duplicates:
-                raise SinkError(
-                    f"grid point(s) {sorted(duplicates)[:10]} appear in more "
-                    f"than one segment of {self.directory}; the directory "
-                    "was written by overlapping sweeps and cannot be merged"
-                )
-            recovered.extend(indices)
+            self._claim(path, indices, recovered)
         known = [
             seq
             for seq in (self._segment_seq(name) for name in self._segments)
             if seq is not None
         ]
         self._next_seq = max(known, default=-1) + 1
-        return recovered
+        return sorted(recovered)
+
+    def _adopt_siblings(self, seen: set) -> List[int]:
+        """Count the valid records of every other tag's manifest as done.
+
+        Read-only: a sibling's segments are scanned, never repaired.  Only
+        the valid prefix of each joins :meth:`iter_merged`, so a point lost
+        to a torn sibling tail re-runs into this sink's own segments.
+        """
+        adopted: set = set()
+        for manifest_path in sorted(self.directory.glob("manifest*.json")):
+            if manifest_path == self.manifest_path:
+                continue
+            manifest = self._read_manifest(manifest_path)
+            for name in manifest.get("segments", []):
+                if not _SEGMENT_NAME_RE.fullmatch(str(name)):
+                    raise SinkError(
+                        f"stream manifest {manifest_path} lists a foreign "
+                        f"segment name {name!r}"
+                    )
+                path = self.directory / name
+                if not path.exists():
+                    continue
+                indices, valid_end, _ = scan_segment(path)
+                self._claim(path, indices, seen)
+                adopted.update(indices)
+                self._sibling_segments.append((path, valid_end))
+        return sorted(adopted)
+
+    def _claim(self, path: Path, indices: List[int], seen: set) -> None:
+        """Check one scanned segment is a fresh ascending run; add its indices."""
+        previous = None
+        for index in indices:
+            if previous is not None and index <= previous:
+                raise SinkError(
+                    f"segment {path} is not an ascending run (index "
+                    f"{index} after {previous}); segments written by "
+                    "this sink are always sorted — the file was "
+                    "modified externally"
+                )
+            previous = index
+        duplicates = seen.intersection(indices)
+        if duplicates:
+            raise SinkError(
+                f"grid point(s) {sorted(duplicates)[:10]} appear in more "
+                f"than one segment of {self.directory}; the directory "
+                "was written by overlapping sweeps and cannot be merged"
+            )
+        seen.update(indices)
 
     def _quarantine_tail(self, path: Path, valid_end: int) -> None:
         size = path.stat().st_size
@@ -637,16 +701,6 @@ class StreamingResultSink:
 
     # -- reading -----------------------------------------------------------------
 
-    def completed_indices(self) -> frozenset:
-        """Grid indices durably recorded by this sink (recovered + appended)."""
-        appended: set = set()
-        for name in self._segments:
-            path = self.directory / name
-            if path.exists():
-                indices, _, _ = scan_segment(path)
-                appended.update(indices)
-        return frozenset(appended) | self.recovered_indices
-
     def segment_paths(self) -> List[Path]:
         """This sink's segment files, in creation order."""
         return [
@@ -656,8 +710,13 @@ class StreamingResultSink:
         ]
 
     def iter_merged(self) -> Iterator[Dict[str, object]]:
-        """All of this sink's records, merged by ascending grid index."""
-        return merge_streams(self.segment_paths())
+        """Every record this sink stands for, merged by ascending grid index.
+
+        Its own segments plus, after a resume, the valid prefix of every
+        sibling manifest's segments.
+        """
+        own = [(path, None) for path in self.segment_paths()]
+        return _merge_runs(own + self._sibling_segments)
 
     def stats(self) -> Dict[str, object]:
         """JSON-safe provenance of what this sink did."""
@@ -691,9 +750,16 @@ def merge_streams(
     error: duplicates would silently prefer one shard's record over
     another's.
     """
-    streams = []
-    for path in segments:
-        streams.append(_ascending(iter_records(path), Path(path)))
+    return _merge_runs([(Path(path), None) for path in segments])
+
+
+def _merge_runs(
+    segments: Sequence[Tuple[Path, Optional[int]]],
+) -> Iterator[Dict[str, object]]:
+    """:func:`merge_streams` over ``(path, end)`` pairs (see :func:`iter_records`)."""
+    streams = [
+        _ascending(iter_records(path, end), path) for path, end in segments
+    ]
     last: Optional[int] = None
     for record in heapq.merge(*streams, key=lambda r: int(r["index"])):
         index = int(record["index"])
@@ -755,9 +821,9 @@ def stream_payloads(
 
 
 def point_run_from_payload(payload: Dict[str, object]) -> PointRun:
-    """Rebuild a :class:`PointRun` from the wire/checkpoint/stream payload.
+    """Rebuild a :class:`PointRun` from the wire/stream payload.
 
-    Fresh, checkpointed, and streamed points all pass through this single
+    Fresh and streamed points both pass through this single
     deserialisation path, so a resumed or streamed sweep is bit-identical
     to an uninterrupted in-memory one.
     """

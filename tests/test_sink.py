@@ -10,9 +10,11 @@ must recover to a clean record boundary.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import textwrap
@@ -23,10 +25,10 @@ import pytest
 from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.dist import (
-    CheckpointStore,
     SINK_SCHEMA,
     SinkError,
     SinkFullError,
+    SinkWriteError,
     StreamingResultSink,
     merge_streams,
     point_run_from_payload,
@@ -240,6 +242,49 @@ class TestSinkBasics:
         assert stats["segments"] == 1
 
 
+class TestSiblingManifests:
+    """A resuming sink reads other tags' manifests, never writes them."""
+
+    @staticmethod
+    def _shard(tmp_path, spec, tag, indices):
+        sink = StreamingResultSink(tmp_path, spec, durable=False, tag=tag)
+        for index in indices:
+            sink.append(fake_payload(index))
+        sink.close()
+
+    def test_resume_adopts_sibling_records_read_only(self, tmp_path):
+        spec = sweep_spec()
+        self._shard(tmp_path, spec, "0of2", [0, 1])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        fresh = StreamingResultSink(tmp_path, spec, durable=False)
+        assert fresh.recovered_indices == frozenset()  # siblings need resume
+        fresh.close()
+        sink = StreamingResultSink(tmp_path, spec, durable=False, resume=True)
+        assert sink.recovered_indices == frozenset({0, 1})
+        sink.append(fake_payload(3))
+        sink.close()
+        assert [r["index"] for r in sink.iter_merged()] == [0, 1, 3]
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert {name: after[name] for name in before} == before
+
+    def test_overlapping_sibling_records_are_refused(self, tmp_path):
+        spec = sweep_spec()
+        self._shard(tmp_path, spec, "0of2", [0, 1])
+        self._shard(tmp_path, spec, "1of2", [1, 2])
+        with pytest.raises(SinkError, match="overlapping"):
+            StreamingResultSink(tmp_path, spec, durable=False, resume=True)
+
+    def test_sibling_manifest_may_only_name_segments(self, tmp_path):
+        spec = sweep_spec()
+        self._shard(tmp_path, spec, "0of2", [0])
+        manifest = tmp_path / "manifest-0of2.json"
+        data = json.loads(manifest.read_text())
+        data["segments"] = ["../elsewhere.jsonl"]
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(SinkError, match="foreign segment"):
+            StreamingResultSink(tmp_path, spec, durable=False, resume=True)
+
+
 class TestMergeStreams:
     def test_duplicate_index_across_segments_rejected(self, tmp_path):
         for name in ("a.jsonl", "b.jsonl"):
@@ -343,29 +388,6 @@ class TestStreamingExecution:
         assert resumed.provenance["points_run"] == 4 - cut_record
         assert segment.with_name(segment.name + ".torn").exists()
 
-    def test_checkpointed_points_replay_into_the_stream(self, tmp_path):
-        # Points that reached the checkpoint store but not the stream are
-        # replayed into the sink without re-execution.
-        spec = sweep_spec()
-        serial = run_spec(spec)
-        checkpoints = tmp_path / "ckpt"
-        stream = tmp_path / "stream"
-        run_spec(spec, points=slice(0, 2), checkpoint_dir=checkpoints)
-        events = []
-        resumed = run_spec(
-            spec,
-            checkpoint_dir=checkpoints,
-            stream_dir=stream,
-            stream_durable=False,
-            resume=True,
-            progress=events.append,
-        )
-        assert_bit_identical(serial, resumed)
-        by_source = {e.index: e.source for e in events}
-        assert by_source == {0: "checkpoint", 1: "checkpoint", 2: "run", 3: "run"}
-        # The replayed points are durable stream records now.
-        assert [r["index"] for r in stream_payloads(stream, spec)] == [0, 1, 2, 3]
-
     def test_streamed_table_matches_in_memory_table(self, tmp_path):
         spec = sweep_spec()
         serial_table = run_spec(spec).to_table()
@@ -433,6 +455,87 @@ class TestDiskFaultChaos:
         assert stream["fsync_calls"] > stream["fsync_failures"]
 
 
+class TestSinkClosedOnEveryExit:
+    """Whatever stops a streamed sweep, appended records reach the disk."""
+
+    @staticmethod
+    def _record_io(monkeypatch) -> list:
+        """Log ("append", inode) per sink append and ("fsync", inode) per fsync."""
+        import repro.dist.executor as executor_module
+
+        events = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            return real_fsync(fd)
+
+        class RecordingSink(StreamingResultSink):
+            def append(self, payload):
+                path, start, end = super().append(payload)
+                events.append(("append", path.stat().st_ino))
+                return path, start, end
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(executor_module, "StreamingResultSink", RecordingSink)
+        return events
+
+    @staticmethod
+    def _assert_last_append_fsynced(events) -> None:
+        appends = [i for i, event in enumerate(events) if event[0] == "append"]
+        assert appends, "the sweep appended nothing before it stopped"
+        segment = events[appends[-1]][1]
+        assert ("fsync", segment) in events[appends[-1] + 1 :]
+
+    def test_worker_pool_error_fsyncs_appended_records(self, tmp_path, monkeypatch):
+        from repro.dist import ParallelScenarioExecutor, RetryPolicy, WorkerPoolError
+        from repro.spec import SweepAxis, SweepSpec
+
+        events = self._record_io(monkeypatch)
+        # Four distinct graphs -> four single-point groups over two workers:
+        # point 3 is only dispatched after two earlier groups were collected
+        # and appended, and its worker dies, which the pool budget forbids.
+        spec = sweep_spec(
+            sweep=SweepSpec(
+                axes=(SweepAxis(path="graph.params.n", values=(64, 80, 96, 112)),)
+            ),
+            label="pool-{n}",
+        )
+        plan = FaultPlan(rules=(FaultRule(kind="kill-worker", index=3),))
+        executor = ParallelScenarioExecutor(
+            workers=2,
+            stream_dir=tmp_path,
+            fsync_every=4,  # more than the sweep can append before dying
+            retry=RetryPolicy(
+                max_pool_restarts=0, serial_fallback=False, backoff_seconds=0.01
+            ),
+            fault_plan=plan,
+        )
+        with pytest.raises(WorkerPoolError):
+            executor.run(spec)
+        assert 2 <= sum(event[0] == "append" for event in events) < 4
+        self._assert_last_append_fsynced(events)
+
+    def test_raising_progress_callback_fsyncs_appended_records(
+        self, tmp_path, monkeypatch
+    ):
+        events = self._record_io(monkeypatch)
+
+        def explode_on_second(event):
+            if event.index == 1:
+                raise RuntimeError("progress consumer failed")
+
+        with pytest.raises(RuntimeError, match="progress consumer"):
+            run_spec(
+                sweep_spec(),
+                stream_dir=tmp_path,
+                fsync_every=4,
+                progress=explode_on_second,
+            )
+        assert sum(event[0] == "append" for event in events) == 2
+        self._assert_last_append_fsynced(events)
+
+
 class TestKill9Survival:
     def test_sigkilled_sweep_resumes_bit_identically(self, tmp_path):
         # A subprocess streams the sweep and is SIGKILL'd by the
@@ -488,27 +591,40 @@ class TestKill9Survival:
         assert resumed.provenance["points_resumed"] == 2
 
 
-class TestDurableCheckpoints:
-    def test_save_fsyncs_file_and_directory_by_default(self, tmp_path, monkeypatch):
+class TestDurableManifest:
+    """The manifest commit goes through ``atomic_write_text``: temp-file
+    fsync, atomic rename, directory fsync — and no litter on failure."""
+
+    def test_manifest_commit_fsyncs_file_and_directory(self, tmp_path, monkeypatch):
         synced = []
         real_fsync = os.fsync
-        monkeypatch.setattr(
-            os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))[1]
-        )
-        store = CheckpointStore(tmp_path, sweep_spec())
-        store.save({"index": 0, "results": []})
-        assert len(synced) == 2  # temp file + directory entry
-        assert json.loads((tmp_path / "point-000000.json").read_text())[
-            "index"
-        ] == 0
+
+        def recording_fsync(fd):
+            info = os.fstat(fd)
+            synced.append((stat.S_ISDIR(info.st_mode), info.st_ino))
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        sink = StreamingResultSink(tmp_path, sweep_spec())
+        sink.append(fake_payload(0))  # write-ahead manifest commit first
+        sink.close()
+        manifest = tmp_path / "manifest.json"
+        assert json.loads(manifest.read_text())["segments"] == [
+            "segment-0000.jsonl"
+        ]
+        # The temp file fsynced before the rename *is* the manifest now,
+        # and the directory entry holding it was fsynced too.
+        assert (False, manifest.stat().st_ino) in synced
+        assert (True, tmp_path.stat().st_ino) in synced
 
     def test_durable_false_skips_fsync(self, tmp_path, monkeypatch):
         synced = []
         monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
-        store = CheckpointStore(tmp_path, sweep_spec(), durable=False)
-        store.save({"index": 0, "results": []})
+        sink = StreamingResultSink(tmp_path, sweep_spec(), durable=False)
+        sink.append(fake_payload(0))
+        sink.close()
         assert synced == []
-        assert (tmp_path / "point-000000.json").exists()
+        assert (tmp_path / "manifest.json").exists()
 
     def test_atomic_write_removes_temp_on_failure(self, tmp_path, monkeypatch):
         def explode(src, dst):
@@ -519,18 +635,19 @@ class TestDurableCheckpoints:
             atomic_write_text(tmp_path / "out.json", "{}", durable=False)
         assert list(tmp_path.iterdir()) == []
 
-    def test_save_leaves_no_temp_behind_a_failed_rename(
+    def test_commit_leaves_no_temp_behind_a_failed_rename(
         self, tmp_path, monkeypatch
     ):
-        store = CheckpointStore(tmp_path, sweep_spec(), durable=False)
+        sink = StreamingResultSink(tmp_path, sweep_spec(), durable=False)
 
         def explode(src, dst):
-            raise OSError(28, "No space left on device")
+            raise OSError(errno.EIO, "I/O error")
 
         monkeypatch.setattr(os, "replace", explode)
-        with pytest.raises(OSError):
-            store.save({"index": 0, "results": []})
+        with pytest.raises(SinkWriteError):
+            sink.append(fake_payload(0))
         assert not list(tmp_path.glob("*.tmp"))
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestPointRunPayloads:
