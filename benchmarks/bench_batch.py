@@ -205,7 +205,7 @@ def test_round_complexity_style_sweep_completes_in_seconds():
         )
         assert len(results) == 20
         assert all(r.success for r in results)
-        assert all(r.metadata.get("batch_size") == 20 for r in results)
+        assert all(r.metadata["engine"] == "vectorized" for r in results)
     elapsed = time.perf_counter() - start
     print(f"\nE1-style batched sweep (5 sizes x 20 seeds): {elapsed:.2f} s")
     assert elapsed < 10.0

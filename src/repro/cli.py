@@ -87,15 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     simulate.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "run all seeds as one batched vectorized program when eligible "
-            "(bit-identical to per-seed runs; --no-batch forces the per-seed loop)"
-        ),
-    )
-    simulate.add_argument(
         "--save", default=None, help="write the results table to a .json or .csv file"
     )
     simulate.add_argument(
@@ -293,7 +284,6 @@ def _simulate_spec(args: argparse.Namespace) -> ScenarioSpec:
         master_seed=args.seed,
         label="simulate-{protocol}",
         engine=args.engine,
-        batch=args.batch,
         config=config,
     )
 
@@ -319,8 +309,8 @@ def _render_point_table(title: str, run: ScenarioRun) -> Table:
         )
     aggregate = aggregate_runs(results)
     engine_note = results[0].metadata.get("engine", "scalar")
-    if "batch_size" in results[0].metadata:
-        engine_note += f", batched x{results[0].metadata['batch_size']}"
+    if engine_note == "vectorized" and len(results) > 1:
+        engine_note += f", batched x{len(results)}"
     table.add_note(
         f"aggregate over {aggregate.runs} runs: success rate "
         f"{aggregate.success_rate:.2f}, mean rounds {aggregate.rounds.mean:.1f}, "
@@ -397,7 +387,7 @@ def _predict_point_engine(point_spec: ScenarioSpec, n: Optional[int]) -> str:
     )
     if reason is not None:
         return f"scalar ({reason})"
-    if point_spec.repetitions > 1 and point_spec.batch and churn is None:
+    if point_spec.repetitions > 1 and churn is None:
         return "vectorized (batched)"
     return "vectorized (per-seed)"
 

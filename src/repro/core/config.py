@@ -50,22 +50,24 @@ class SimulationConfig:
     engine:
         Which round engine executes the run.  ``"auto"`` (default) picks the
         bulk NumPy engine whenever the protocol and run configuration support
-        it (no tracer, no churn, no exchange hook, bulk protocol hooks
-        available) and silently falls back to the scalar engine otherwise;
+        it (no tracer, no exchange hook, bulk protocol hooks available, any
+        churn model and protocol opted into the bulk membership hooks) and
+        silently falls back to the scalar engine otherwise;
         ``"scalar"`` forces the per-node object engine; ``"vectorized"``
         forces the bulk engine and raises :class:`SimulationError` if the
         combination cannot be vectorized.  See
         :mod:`repro.core.engine_vectorized` for the dispatch rules.
     batch_row_compaction:
-        Whether the batched vectorized engine remaps completed replications
+        Whether the bulk engine remaps completed replications
         out of its ``(R, n)`` state as they finish (only meaningful together
         with ``stop_when_informed``).  Results are bit-identical either way;
         disabling it exists for benchmarking and debugging the compaction
         machinery itself.
     churn_node_compaction:
-        Whether the vectorized engine's dynamic-membership mode renumbers
-        dead node ids away once a quarter of the id space is tombstoned (the
-        node-axis mirror of ``batch_row_compaction``).  Results are
+        Whether the bulk engine's dynamic-membership mode (a churn run, which
+        is always a batch of one) renumbers dead node ids away once a quarter
+        of the id space is tombstoned (the node-axis mirror of
+        ``batch_row_compaction``).  Results are
         bit-identical either way — every churn-path draw is renumbering
         invariant — so disabling it exists for benchmarking and for the
         compaction-parity tests.

@@ -332,9 +332,9 @@ def run_broadcast(
     """Run one broadcast, dispatching to the fastest engine that applies.
 
     ``config.engine`` selects the execution strategy: ``"auto"`` (default)
-    uses the bulk NumPy engine when the protocol and configuration support it
-    and falls back to the scalar engine otherwise; ``"scalar"`` and
-    ``"vectorized"`` force one path (the latter raises
+    uses the bulk NumPy engine — a batch of one seed — when the protocol and
+    configuration support it and falls back to the scalar engine otherwise;
+    ``"scalar"`` and ``"vectorized"`` force one path (the latter raises
     :class:`SimulationError`, naming the obstacle, if vectorization is
     impossible).  Both engines produce the same :class:`RunResult` shape;
     ``result.metadata["engine"]`` records which one ran.
@@ -352,7 +352,6 @@ def run_broadcast(
                 seed=seed,
                 failure_model=failure_model,
                 churn_model=churn_model,
-                tracer=tracer,
             ).run(source=source)
         if cfg.engine == "vectorized":
             raise SimulationError(f"engine='vectorized' requested but {reason}")
@@ -379,44 +378,40 @@ def run_broadcast_batch(
 ) -> list:
     """Run one broadcast per seed, batched into a single NumPy program.
 
-    The batched engine holds all replications as ``(R, n)`` state arrays and
+    The bulk engine holds all replications as ``(R, n)`` state arrays and
     amortises per-round bookkeeping across them; each replication keeps its
-    own generator streams, so every returned :class:`RunResult` is
-    bit-identical to ``run_broadcast(..., seed=seeds[r])`` under the
-    vectorized engine (the batch only adds ``metadata["batch_size"]``).
+    own generator streams, so every returned :class:`RunResult` equals
+    ``run_broadcast(..., seed=seeds[r])`` exactly.  One ``protocol``
+    instance (and one churn model) drives all replications; every engine
+    resets both before round 1.
 
-    One ``protocol`` instance drives all replications (it is reset at the
-    start of the batch).  When the combination cannot be batched the function
-    falls back to a per-seed :func:`run_broadcast` loop — churn in particular
-    always takes this path (membership diverges per replication), running
-    each seed on the single-run vectorized engine when admissible.  With
-    ``config.engine == "vectorized"`` the function raises, like the
-    single-run dispatcher, only when the per-seed path cannot vectorize
-    either.
+    Two cases run one seed at a time through :func:`run_broadcast` instead:
+    a churned call with several seeds (membership diverges per replication,
+    so each seed runs as its own batch of one), and a combination the bulk
+    engine cannot run at all, which goes to the scalar engine — or raises,
+    naming the obstacle, when ``config.engine == "vectorized"``.
     """
     cfg = config if config is not None else SimulationConfig()
-    single_reason: Optional[str] = "scalar engine forced"
+    dynamic = churn_model is not None and not isinstance(churn_model, NoChurn)
+    reason: Optional[str] = "scalar engine forced"
     if cfg.engine != "scalar":
         reason = vectorization_unsupported_reason(
-            graph, protocol, cfg, failure_model, churn_model, None, batched=True
+            graph, protocol, cfg, failure_model, churn_model
         )
-        if reason is None:
+        if reason is None and (not dynamic or len(seeds) == 1):
             return BatchedVectorizedRoundEngine(
                 graph=graph,
                 protocol=protocol,
                 seeds=seeds,
                 config=cfg,
                 failure_model=failure_model,
+                churn_model=churn_model,
             ).run(source=source)
-        single_reason = vectorization_unsupported_reason(
-            graph, protocol, cfg, failure_model, churn_model, None
-        )
-        if cfg.engine == "vectorized" and single_reason is not None:
+        if reason is not None and cfg.engine == "vectorized":
             raise SimulationError(f"engine='vectorized' requested but {reason}")
     # Scalar churn runs mutate the graph, so each seed gets its own copy;
-    # the vectorized engine works on a private CSR copy and needs none.
-    dynamic = churn_model is not None and not isinstance(churn_model, NoChurn)
-    copy_per_seed = dynamic and single_reason is not None
+    # the bulk engine works on a private CSR copy and needs none.
+    copy_per_seed = dynamic and reason is not None
     return [
         run_broadcast(
             graph=graph.copy() if copy_per_seed else graph,

@@ -34,19 +34,23 @@ pools enumerate exactly the nodes the mask scan would, in the same ascending
 order, and ``Generator.random(out=...)`` fills a scratch slice with the same
 stream a fresh allocation would get.
 
-Batched replications
---------------------
-:class:`BatchedVectorizedRoundEngine` runs ``R`` independent replications of
-the same configuration (one seed per replication) over a shared graph in one
-NumPy program, holding the whole ensemble as ``(R, n)`` state arrays.  Each
-replication draws from its own generator pair spawned exactly as the
-single-run engine spawns them (``RandomSource(seed).spawn("protocol")`` /
-``spawn("failures")``), and the per-replication draw *sequences* are kept
-call-for-call identical to a single run, so every row of a batch is
-bit-identical to the corresponding :class:`VectorizedRoundEngine` run.  What
-the batch amortises is everything *around* the draws: state commits, channel
-bookkeeping, delivery scatter, and per-run setup all happen once per round for
-the whole ensemble instead of once per round per seed.
+Replications: one engine for one run or many
+--------------------------------------------
+:class:`BatchedVectorizedRoundEngine` is the only bulk round loop and round
+kernel.  It runs ``R`` independent replications of the same configuration
+(one seed per replication) over a shared graph in one NumPy program, holding
+the whole ensemble as ``(R, n)`` state arrays.  A single run is a batch of
+one: :class:`VectorizedRoundEngine` merely passes ``[seed]`` and returns the
+one row.  Each replication draws from its own generator pair, spawned from
+its seed alone (``RandomSource(seed).spawn("protocol")`` /
+``spawn("failures")``), and its draw *sequence* never depends on the other
+rows, so every row of a batch is bit-identical to the batch of one with
+that seed.  What the batch amortises is everything *around* the draws:
+state commits, channel bookkeeping, delivery scatter, and per-run setup all
+happen once per round for the whole ensemble instead of once per round per
+seed.  A batch of one skips the row machinery outright — no ``row * n``
+offsets, no per-row counting, and its fanout-1 draw runs through the
+scratch buffers — so a single run pays nothing for the batched layout.
 
 Row compaction
 ~~~~~~~~~~~~~~
@@ -56,11 +60,11 @@ When ``stop_when_informed`` holds (the default) and
 planes, the informed-index vectors, the per-replication generator lists, and
 any protocol-held per-row tables (via the
 :meth:`BroadcastProtocol.vector_compact_rows` hook) are all sliced down to
-the surviving rows, and an ``origin`` map carries results back to the
-original seed order.  Long-tail sweeps therefore shrink their arrays as rows
-finish instead of carrying dead rows to the last straggler's round.
-Compaction never touches a generator stream, so the results are bit-identical
-with compaction on or off (asserted in ``tests/test_engine_compaction.py``).
+the surviving rows, and each retired row's result lands at its seed's
+position.  Long-tail sweeps therefore shrink their arrays as rows finish
+instead of carrying dead rows to the last straggler's round.  Compaction
+never touches a generator stream, so the results are bit-identical with
+compaction on or off (asserted in ``tests/test_engine_compaction.py``).
 
 Dispatch rules
 --------------
@@ -76,28 +80,26 @@ when nothing the scalar engine offers beyond aggregates is requested:
 * churn, when present, is a model that opted into the bulk membership hook
   (``ChurnModel.supports_vectorized`` / ``vector_apply``) driving a protocol
   that opted into dynamic membership
-  (``BroadcastProtocol.supports_dynamic_membership``) — and the run is
-  single-seed (the batched engine rejects churn outright: replications'
-  graphs diverge, so there is no shared CSR to batch over);
+  (``BroadcastProtocol.supports_dynamic_membership``);
 * the failure model is ``ReliableDelivery`` or ``IndependentLoss`` (arbitrary
   strategy objects cannot be batched);
 * the graph's node ids are contiguous ``0..n-1``.
 
 :func:`vectorization_unsupported_reason` centralises these checks and returns
 a human-readable reason (or ``None``) so the dispatcher and error messages
-stay in sync.  The batched engine accepts exactly the combinations the
-single-run engine accepts except churn (``batched=True`` names that reason;
-``repro.core.engine.run_broadcast_batch`` owns the fallback to a per-seed
-loop).
+stay in sync.  One rule sits in the engine instead: a churn run takes exactly
+one seed, because replications' graphs diverge under churn and there is no
+shared CSR to batch over (``repro.core.engine.run_broadcast_batch`` runs a
+churned multi-seed call one seed at a time).
 
 Dynamic membership (vectorized churn)
 -------------------------------------
-With an opted-in churn model the single-run engine switches to *dynamic
-mode*: it copies the graph's CSR into private mutable arrays (the caller's
-graph object is never touched), enables tombstone masks on the state
-(:meth:`VectorState.enable_membership`), and applies the churn model's
-``vector_apply`` at the top of every round through a narrow mutation surface
-(:class:`VectorChurnOps`):
+With an opted-in churn model the engine runs its single replication in
+*dynamic mode*: it copies the graph's CSR into private mutable arrays (the
+caller's graph object is never touched), enables tombstone masks on the
+``(1, n)`` state (:meth:`VectorState.enable_membership`), and applies the
+churn model's ``vector_apply`` at the top of every round through a narrow
+mutation surface (:class:`VectorChurnOps`):
 
 * **departures** clear a node's flags, evict its id from every sorted index
   pool (engine- and protocol-held), and mark it dead.  Its CSR row stays as
@@ -164,14 +166,12 @@ def vectorization_unsupported_reason(
     failure_model: Optional[FailureModel] = None,
     churn_model: Optional[ChurnModel] = None,
     tracer: Optional[Tracer] = None,
-    batched: bool = False,
 ) -> Optional[str]:
     """Why this run cannot use the bulk engine, or ``None`` if it can.
 
-    ``batched=True`` asks about the batched multi-seed engine, which rejects
-    all churn (replications' graphs diverge); the default asks about the
-    single-run engine, where churn is admissible for models and protocols
-    that opted into the dynamic-membership hooks.
+    Churn is admissible for models and protocols that opted into the
+    dynamic-membership hooks; the engine itself additionally requires a
+    churn run to have a single seed.
     """
     if not protocol.supports_vectorized:
         return f"protocol {protocol.name!r} does not implement the bulk hooks"
@@ -205,11 +205,6 @@ def vectorization_unsupported_reason(
     if tracer is not None and not isinstance(tracer, NullTracer):
         return "a tracer is attached (tracing is per-event)"
     if churn_model is not None and not isinstance(churn_model, NoChurn):
-        if batched:
-            return (
-                "churn cannot run on the batched engine (membership diverges "
-                "per replication; run per-seed vectorized instead)"
-            )
         if not getattr(churn_model, "supports_vectorized", False):
             return (
                 f"churn model {type(churn_model).__name__} does not implement "
@@ -241,10 +236,10 @@ def _fanout1_offsets(
     integers and ``floor(U · d)`` is uniform over ``[0, d)`` up to an
     O(2⁻⁵³) float bias; the clip guards the half-ulp rounding edge where
     ``U · d`` could land exactly on ``d``.  ``sampler_degrees`` may be a
-    per-sampler array or a scalar (regular graphs).  Both engines draw
-    exactly one ``generator.random(k)`` per (replication, round) and map it
-    through this function, which is what keeps a batch row's stream identical
-    to a single run's.
+    per-sampler array or a scalar (regular graphs).  The engine draws
+    exactly one ``generator.random(k)`` per (replication, round) and maps it
+    through this function, which is what keeps a batch row's stream
+    independent of the other rows.
     """
     offsets = (uniforms * sampler_degrees).astype(np.int64)
     np.minimum(offsets, np.asarray(sampler_degrees) - 1, out=offsets)
@@ -264,11 +259,10 @@ def _sample_stub_targets(
 
     Returns flat ``(callers, callees)`` arrays, one entry per channel.
     Sampling is over adjacency *positions*, so parallel edges weight the
-    draw exactly as the scalar ``select_call_targets`` does.  This is a
-    module-level function (parameterised by the generator) so the single-run
-    and batched engines share one draw sequence per generator by
-    construction.  ``uniform_degree`` short-circuits the per-sampler degree
-    gathers on regular graphs (it never changes the draw sequence).
+    draw exactly as the scalar ``select_call_targets`` does.  Parameterised
+    by the generator, so each replication draws from its own stream.
+    ``uniform_degree`` short-circuits the per-sampler degree gathers on
+    regular graphs (it never changes the draw sequence).
     """
     empty = np.empty(0, dtype=np.int64)
     if samplers.size == 0 or fanout <= 0:
@@ -352,7 +346,10 @@ class VectorChurnOps:
     __slots__ = ("_engine", "_state", "_round_index")
 
     def __init__(
-        self, engine: "VectorizedRoundEngine", state: VectorState, round_index: int
+        self,
+        engine: "BatchedVectorizedRoundEngine",
+        state: VectorState,
+        round_index: int,
     ) -> None:
         self._engine = engine
         self._state = state
@@ -403,42 +400,101 @@ class VectorChurnOps:
         return self._engine._join_nodes(count, target_degree, generator, self._state)
 
 
-class _BulkEngineBase:
-    """CSR-derived caches, scratch buffers, and failure unpacking shared by
-    both bulk engines.
+class _RowLedger:
+    """Running totals of one replication while its row is in the state."""
 
-    Kept in one place so a fix to channel-cost caching, self-loop detection,
-    degree caching, or the loss-probability plumbing cannot drift between the
-    single-run and batched engines.  Subclasses call the two ``_init_*``
-    helpers after setting ``self.failure_model``.
+    __slots__ = (
+        "seed_index",
+        "push",
+        "pull",
+        "channels",
+        "lost",
+        "rounds",
+        "completed_at",
+        "history",
+        "phases",
+    )
+
+    def __init__(self, seed_index: int) -> None:
+        self.seed_index = seed_index
+        self.push = self.pull = self.channels = self.lost = self.rounds = 0
+        self.completed_at: Optional[int] = None
+        self.history: List[RoundRecord] = []
+        self.phases: dict = {}
+
+    def add(
+        self, round_index: int, push: int, pull: int, channels: int, lost: int, phase: str
+    ) -> None:
+        self.rounds = round_index
+        self.push += push
+        self.pull += pull
+        self.channels += channels
+        self.lost += lost
+        if phase:
+            self.phases[phase] = self.phases.get(phase, 0) + push + pull
+
+
+class BatchedVectorizedRoundEngine:
+    """Runs R independent replications of one configuration in lock-step.
+
+    Every replication uses its own seed from ``seeds`` and generator streams
+    spawned from it alone, so each row of the batch is bit-identical to the
+    batch of one with that seed (:class:`VectorizedRoundEngine`).  The whole
+    ensemble's state lives in one ``(R, n)`` :class:`VectorState`; delivery
+    scatter, commits, and channel accounting are performed once per round
+    for all replications together, and completed replications are compacted
+    out of the state as they finish (see the module docstring).  A churn
+    model is accepted only with a single seed.
+
+    One protocol instance drives all replications; it is :meth:`reset` once at
+    the start of the batch, and protocols with per-node state (e.g. the
+    quasirandom pointer table) keep it per replication via the ``row``
+    argument of the bulk hooks (and remap it on compaction via
+    ``vector_compact_rows``).
     """
 
-    def _init_bulk_state(self, graph: Graph) -> None:
-        self._indptr, self._indices = graph.csr()
-        # Cached on the graph next to the CSR view, so per-seed loops over
-        # the same graph do not re-derive these O(m) facts per run.
-        self._has_self_loops, self._uniform_degree = graph.csr_stats()
-        self._n = self._indptr.size - 1
-        # Every O(n) derived array below is materialised lazily: a push
-        # broadcast over a regular graph touches none of them, which keeps
-        # the engine's own footprint out of the peak.
-        self._channel_cost_cache: dict = {}
-        self._channel_info_cache: dict = {}
-        self._degrees_array: Optional[np.ndarray] = None
-        self._degree_positive_array: Optional[np.ndarray] = None
-        self._nz_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        if self._uniform_degree is not None:
-            self._all_degrees_positive: Optional[bool] = self._uniform_degree > 0
-        else:
-            self._all_degrees_positive = None
-        # Fanout-1 scratch buffers (allocated lazily at first use, reused
-        # every round): uniforms, stub offsets, gather positions, callees.
-        self._scratch_uniform: Optional[np.ndarray] = None
-        self._scratch_offset: Optional[np.ndarray] = None
-        self._scratch_position: Optional[np.ndarray] = None
-        self._scratch_callee: Optional[np.ndarray] = None
+    def __init__(
+        self,
+        graph: Graph,
+        protocol: BroadcastProtocol,
+        seeds: Sequence[int],
+        config: Optional[SimulationConfig] = None,
+        failure_model: Optional[FailureModel] = None,
+        churn_model: Optional[ChurnModel] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
+        if len(seeds) == 0:
+            raise SimulationError("batched run requires at least one seed")
+        self.graph = graph
+        self.protocol = protocol
+        self.config = config if config is not None else SimulationConfig()
+        self.failure_model = _resolve_failure_model(self.config, failure_model)
+        self.churn_model = churn_model if churn_model is not None else NoChurn()
+        self.seeds = [int(seed) for seed in seeds]
 
-    def _init_failure_probabilities(self) -> None:
+        reason = vectorization_unsupported_reason(
+            graph, protocol, self.config, self.failure_model, self.churn_model, tracer
+        )
+        if reason is not None:
+            raise SimulationError(f"run cannot be vectorized: {reason}")
+        self._dynamic = not isinstance(self.churn_model, NoChurn)
+        if self._dynamic and len(self.seeds) != 1:
+            raise SimulationError(
+                "a churn run takes exactly one seed (membership diverges per "
+                "replication); run the seeds one at a time"
+            )
+
+        # Per-replication streams, spawned with the scalar engine's labels.
+        self._protocol_gens = []
+        self._failure_gens = []
+        for seed in self.seeds:
+            rng = RandomSource(seed=seed, name="engine")
+            self._protocol_gens.append(rng.spawn("protocol").generator)
+            self._failure_gens.append(rng.spawn("failures").generator)
+        if self._dynamic:
+            self._churn_rng = rng.spawn("churn")
+        self._state: Optional[VectorState] = None
+
         if isinstance(self.failure_model, IndependentLoss):
             self._loss_p = self.failure_model.transmission_loss_probability
             self._channel_fail_p = self.failure_model.channel_failure_probability
@@ -446,7 +502,170 @@ class _BulkEngineBase:
             self._loss_p = 0.0
             self._channel_fail_p = 0.0
 
+        self._indptr, self._indices = graph.csr()
+        # Cached on the graph next to the CSR view, so per-seed loops over
+        # the same graph do not re-derive these O(m) facts per run.
+        self._has_self_loops, self._uniform_degree = graph.csr_stats()
+        self._n = self._indptr.size - 1
+        # Every O(n) derived array is materialised lazily: a push broadcast
+        # over a regular graph touches none of them, which keeps the engine's
+        # own footprint out of the peak.
+        self._invalidate_topology_caches()
+        # Fanout-1 scratch buffers (allocated lazily at first use, reused
+        # every round): uniforms, stub offsets, gather positions, callees.
+        self._scratch_uniform: Optional[np.ndarray] = None
+        self._scratch_offset: Optional[np.ndarray] = None
+        self._scratch_position: Optional[np.ndarray] = None
+        self._scratch_callee: Optional[np.ndarray] = None
+        # Row compaction only applies when completed rows actually leave the
+        # round loop (early stopping); it is bit-transparent either way.
+        self._compaction = bool(
+            self.config.batch_row_compaction and self.config.stop_when_informed
+        )
+
+    # -- public API ---------------------------------------------------------------
+
+    def run(self, source: int = 0) -> List[RunResult]:
+        """Run all replications; returns one :class:`RunResult` per seed."""
+        if source not in self.graph:
+            raise SimulationError(f"source node {source} is not in the graph")
+
+        n = self.graph.node_count
+        batch = len(self.seeds)
+        self.protocol.reset()
+        self.churn_model.reset()
+        state = VectorState(n=n, source=source, batch=batch)
+        if self.protocol.uses_index_pools:
+            state.enable_index_tracking()
+        if self._dynamic:
+            state.enable_membership()
+            self._state = state
+            self._reset_dynamic_topology()
+        horizon = self.protocol.horizon()
+        if self.config.max_rounds is not None:
+            horizon = min(horizon, self.config.max_rounds)
+        stop_when_informed = self.config.stop_when_informed
+        collect = self.config.collect_round_history
+
+        # The live generator lists and the per-row ledgers shrink together
+        # with the state when rows are compacted away; each ledger carries
+        # its seed's position, where the row's result lands once it retires
+        # (compacted away, or still in the state at the end).
+        self._live_protocol_gens = list(self._protocol_gens)
+        self._live_failure_gens = list(self._failure_gens)
+        ledgers = [_RowLedger(index) for index in range(batch)]
+        results: List[Optional[RunResult]] = [None] * batch
+        active = list(range(batch))
+        active_rows = np.arange(batch)
+
+        def retire(rows: List[int]) -> None:
+            metadata = {
+                "protocol": self.protocol.describe(),
+                "failure_model": self.failure_model.describe(),
+                "churn_model": self.churn_model.describe(),
+                "final_node_count": state.alive_count if self._dynamic else n,
+                "engine": "vectorized",
+            }
+            if self._dynamic:
+                metadata["churn"] = {
+                    "departures": self._departures_total,
+                    "arrivals": self._arrivals_total,
+                    "node_compactions": self._node_compactions,
+                }
+            informed = state.informed_count.tolist()
+            for row in rows:
+                ledger = ledgers[row]
+                results[ledger.seed_index] = RunResult(
+                    n=n,
+                    protocol=self.protocol.name,
+                    source=source,
+                    success=informed[row] == state.alive_count,
+                    rounds_executed=ledger.rounds,
+                    rounds_to_completion=ledger.completed_at,
+                    total_push_transmissions=ledger.push,
+                    total_pull_transmissions=ledger.pull,
+                    total_channels_opened=ledger.channels,
+                    total_lost_transmissions=ledger.lost,
+                    final_informed=informed[row],
+                    history=ledger.history,
+                    phase_transmissions=ledger.phases,
+                    metadata=dict(metadata),
+                )
+
+        for round_index in range(1, horizon + 1):
+            if self._dynamic:
+                self._apply_churn(round_index, state)
+            before = state.informed_count.tolist() if collect else None
+            counters = self._run_round(round_index, state, active_rows).T.tolist()
+            after = state.informed_count.tolist()
+            alive = state.alive_count
+            phase = self.protocol.phase_label(round_index)
+            finished = False
+            for row in active:
+                ledger = ledgers[row]
+                push, pull, channels, lost = counters[row]
+                ledger.add(round_index, push, pull, channels, lost, phase)
+                if collect:
+                    ledger.history.append(
+                        RoundRecord(
+                            round_index=round_index,
+                            informed_before=before[row],
+                            informed_after=after[row],
+                            push_transmissions=push,
+                            pull_transmissions=pull,
+                            channels_opened=channels,
+                            lost_transmissions=lost,
+                            phase=phase,
+                        )
+                    )
+                if ledger.completed_at is None and after[row] == alive:
+                    ledger.completed_at = round_index
+                    finished = True
+            if not (finished and stop_when_informed):
+                continue
+            active = [row for row in active if ledgers[row].completed_at is None]
+            dead = state.batch - len(active)
+            # Compact once a quarter of the state rows are dead: each event
+            # costs one O(live·n) copy, so the threshold keeps the total copy
+            # volume linear in R·n while the per-round O(rows·n) terms (dense
+            # commits, informed-index merges) track the live ensemble instead
+            # of the original batch.
+            if self._compaction and dead * 4 >= state.batch:
+                retire(
+                    [row for row, ledger in enumerate(ledgers) if ledger.completed_at is not None]
+                )
+                if not active:
+                    ledgers = []
+                    break
+                # Protocol first (it may need the old row count), then the
+                # engine-owned state, generator lists, and ledgers.
+                keep = np.asarray(active)
+                self.protocol.vector_compact_rows(keep, n, state.batch)
+                state.compact_rows(keep)
+                self._live_protocol_gens = [self._live_protocol_gens[row] for row in active]
+                self._live_failure_gens = [self._live_failure_gens[row] for row in active]
+                ledgers = [ledgers[row] for row in active]
+                active = list(range(len(active)))
+            if not active:
+                break
+            active_rows = np.asarray(active)
+
+        retire(list(range(len(ledgers))))
+        self._state = None
+        return results
+
     # -- lazy CSR-derived caches ---------------------------------------------------
+
+    def _invalidate_topology_caches(self) -> None:
+        self._degrees_array: Optional[np.ndarray] = None
+        self._degree_positive_array: Optional[np.ndarray] = None
+        self._nz_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._channel_cost_cache: dict = {}
+        self._channel_info_cache: dict = {}
+        if self._uniform_degree is not None:
+            self._all_degrees_positive: Optional[bool] = self._uniform_degree > 0
+        else:
+            self._all_degrees_positive = None
 
     @property
     def _degrees(self) -> np.ndarray:
@@ -466,19 +685,27 @@ class _BulkEngineBase:
         return self._all_degrees_positive
 
     def _nz(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(nodes with a neighbour, their degrees)`` in CSR index dtype."""
+        """``(nodes with a neighbour, their degrees)`` in CSR index dtype.
+
+        Under churn "every node with a neighbour" additionally means *live*:
+        dead rows are tombstones that must never sample.
+        """
         if self._nz_cache is None:
-            if self._all_positive():
-                nodes = np.arange(self._n, dtype=self._indices.dtype)
+            if self._dynamic:
+                mask = self._state.alive[0]
+                if not self._all_positive():
+                    mask = mask & self._degree_positive
+                nodes = np.flatnonzero(mask)
+            elif self._all_positive():
+                nodes = np.arange(self._n)
             else:
-                nodes = np.flatnonzero(self._degree_positive).astype(
-                    self._indices.dtype, copy=False
-                )
+                nodes = np.flatnonzero(self._degree_positive)
+            nodes = nodes.astype(self._indices.dtype, copy=False)
             self._nz_cache = (nodes, self._degrees[nodes])
         return self._nz_cache
 
     def _channel_info(self, fanout: int) -> Tuple[int, Optional[int]]:
-        """``(total channels over all nodes, uniform per-node cost or None)``.
+        """``(total channels over all live nodes, uniform per-node cost or None)``.
 
         The uniform cost applies when every node pays the same
         ``min(degree, fanout)`` — regular graphs, or fanout 1 without
@@ -487,7 +714,10 @@ class _BulkEngineBase:
         """
         cached = self._channel_info_cache.get(fanout)
         if cached is None:
-            if self._uniform_degree is not None:
+            if self._dynamic:
+                cost = self._channel_cost_array(fanout)
+                cached = (int(cost[self._state.alive[0]].sum()), None)
+            elif self._uniform_degree is not None:
                 cost = min(self._uniform_degree, fanout)
                 cached = (self._n * cost, cost)
             elif fanout == 1 and self._all_positive():
@@ -571,138 +801,7 @@ class _BulkEngineBase:
         np.take(self._indices, positions, out=callees)
         return callees
 
-
-class VectorizedRoundEngine(_BulkEngineBase):
-    """Drives one protocol over one graph with bulk array operations.
-
-    Accepts the same parameters as :class:`repro.core.engine.RoundEngine` and
-    produces the same :class:`RunResult` shape; construction raises
-    :class:`SimulationError` if the combination cannot be vectorized (see
-    :func:`vectorization_unsupported_reason`).  RNG streams are spawned with
-    the same labels as the scalar engine ("protocol" / "failures"), but draw
-    granularity differs, so equal seeds give statistically equivalent — not
-    identical — runs.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        protocol: BroadcastProtocol,
-        config: Optional[SimulationConfig] = None,
-        seed: int = 0,
-        failure_model: Optional[FailureModel] = None,
-        churn_model: Optional[ChurnModel] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        self.graph = graph
-        self.protocol = protocol
-        self.config = config if config is not None else SimulationConfig()
-        self.failure_model = _resolve_failure_model(self.config, failure_model)
-        self.churn_model = churn_model if churn_model is not None else NoChurn()
-
-        reason = vectorization_unsupported_reason(
-            graph, protocol, self.config, self.failure_model, self.churn_model, tracer
-        )
-        if reason is not None:
-            raise SimulationError(f"run cannot be vectorized: {reason}")
-
-        self.rng = RandomSource(seed=seed, name="engine")
-        self._protocol_gen = self.rng.spawn("protocol").generator
-        self._failure_gen = self.rng.spawn("failures").generator
-        # Spawned with the scalar engine's label whether or not churn is
-        # attached (spawns are independent derivations, not stream draws).
-        self._churn_rng = self.rng.spawn("churn")
-        self._dynamic = not isinstance(self.churn_model, NoChurn)
-        self._state: Optional[VectorState] = None
-        self._departures_total = 0
-        self._arrivals_total = 0
-        self._node_compactions = 0
-        self._init_failure_probabilities()
-        self._init_bulk_state(graph)
-
-    # -- public API ---------------------------------------------------------------
-
-    def run(self, source: int = 0) -> RunResult:
-        """Broadcast a single message created at ``source`` in round 0."""
-        if source not in self.graph:
-            raise SimulationError(f"source node {source} is not in the graph")
-
-        n = self.graph.node_count
-        self.protocol.reset()
-        self.churn_model.reset()
-        state = VectorState(n=n, source=source)
-        if self.protocol.uses_index_pools:
-            state.enable_index_tracking()
-        if self._dynamic:
-            state.enable_membership()
-            self._state = state
-            self._reset_dynamic_topology()
-        horizon = self.protocol.horizon()
-        if self.config.max_rounds is not None:
-            horizon = min(horizon, self.config.max_rounds)
-
-        history: list = []
-        phase_transmissions: dict = {}
-        totals = {"push": 0, "pull": 0, "channels": 0, "lost": 0}
-        rounds_to_completion: Optional[int] = None
-        rounds_executed = 0
-
-        for round_index in range(1, horizon + 1):
-            rounds_executed = round_index
-            if self._dynamic:
-                self._apply_churn(round_index, state)
-            record = self._run_round(round_index, state)
-            totals["push"] += record.push_transmissions
-            totals["pull"] += record.pull_transmissions
-            totals["channels"] += record.channels_opened
-            totals["lost"] += record.lost_transmissions
-            if record.phase:
-                phase_transmissions[record.phase] = (
-                    phase_transmissions.get(record.phase, 0) + record.transmissions
-                )
-            if self.config.collect_round_history:
-                history.append(record)
-
-            if rounds_to_completion is None and state.all_informed():
-                rounds_to_completion = round_index
-                if self.config.stop_when_informed:
-                    break
-
-        success = bool(state.all_informed())
-        metadata = {
-            "protocol": self.protocol.describe(),
-            "failure_model": self.failure_model.describe(),
-            "churn_model": self.churn_model.describe(),
-            "final_node_count": (
-                state.alive_count if self._dynamic else self.graph.node_count
-            ),
-            "engine": "vectorized",
-        }
-        if self._dynamic:
-            metadata["churn"] = {
-                "departures": self._departures_total,
-                "arrivals": self._arrivals_total,
-                "node_compactions": self._node_compactions,
-            }
-            self._state = None
-        return RunResult(
-            n=n,
-            protocol=self.protocol.name,
-            source=source,
-            success=success,
-            rounds_executed=rounds_executed,
-            rounds_to_completion=rounds_to_completion,
-            total_push_transmissions=totals["push"],
-            total_pull_transmissions=totals["pull"],
-            total_channels_opened=totals["channels"],
-            total_lost_transmissions=totals["lost"],
-            final_informed=int(state.informed_count),
-            history=history,
-            phase_transmissions=phase_transmissions,
-            metadata=metadata,
-        )
-
-    # -- dynamic membership (vectorized churn) -------------------------------------
+    # -- dynamic membership (vectorized churn, single replication) -----------------
 
     def _reset_dynamic_topology(self) -> None:
         """Private mutable CSR copies for a fresh churn run.
@@ -723,14 +822,6 @@ class VectorizedRoundEngine(_BulkEngineBase):
         self._departures_total = 0
         self._arrivals_total = 0
         self._node_compactions = 0
-
-    def _invalidate_topology_caches(self) -> None:
-        self._degrees_array = None
-        self._degree_positive_array = None
-        self._all_degrees_positive = None
-        self._nz_cache = None
-        self._channel_cost_cache = {}
-        self._channel_info_cache = {}
 
     def _apply_churn(self, round_index: int, state: VectorState) -> None:
         """Run the churn model's bulk hook, then compact if enough ids died."""
@@ -790,7 +881,7 @@ class VectorizedRoundEngine(_BulkEngineBase):
             owners = alive_nodes[owner_rank]
             offsets = positions - (cum[owner_rank] - live_degrees[owner_rank])
             stub_pos = indptr[owners].astype(np.int64) + offsets
-            alive = state.alive
+            alive = state.alive[0]
             draw = 0
             for j in range(count):
                 joiner = int(new_ids[j])
@@ -869,433 +960,219 @@ class VectorizedRoundEngine(_BulkEngineBase):
         self._invalidate_topology_caches()
         self._node_compactions += 1
 
-    # -- dynamic-aware CSR aggregates ----------------------------------------------
-
-    def _nz(self) -> Tuple[np.ndarray, np.ndarray]:
-        if not self._dynamic:
-            return super()._nz()
-        # Dynamic mode: "every node with a neighbour" additionally means
-        # *live* — dead rows are tombstones that must never sample.
-        if self._nz_cache is None:
-            alive = self._state.alive
-            if self._all_positive():
-                nodes = np.flatnonzero(alive)
-            else:
-                nodes = np.flatnonzero(alive & self._degree_positive)
-            nodes = nodes.astype(self._indices.dtype, copy=False)
-            self._nz_cache = (nodes, self._degrees[nodes])
-        return self._nz_cache
-
-    def _channel_info(self, fanout: int) -> Tuple[int, Optional[int]]:
-        if not self._dynamic:
-            return super()._channel_info(fanout)
-        cached = self._channel_info_cache.get(fanout)
-        if cached is None:
-            total = int(
-                self._channel_cost_array(fanout)[self._state.alive].sum()
-            )
-            cached = (total, None)
-            self._channel_info_cache[fanout] = cached
-        return cached
-
     # -- round mechanics -------------------------------------------------------------
 
-    def _push_samplers(self, round_index: int, state: VectorState) -> np.ndarray:
-        """This round's pushers with a neighbour, as a sorted index vector.
+    def _run_round(
+        self,
+        round_index: int,
+        state: VectorState,
+        active_rows: np.ndarray,
+    ) -> np.ndarray:
+        """One lock-step round; returns ``int64[4, R]`` per-state-row counters
+        (push transmissions, pull transmissions, channels, lost)."""
+        protocol = self.protocol
+        n = state.n
+        batch = state.batch
+        counters = np.zeros((4, batch), dtype=np.int64)
+        push_tx, pull_tx, channels, lost = counters
 
-        Uses the protocol's index pool when available (O(pushers)), the
-        boolean mask otherwise (O(n) scan) — same set, same ascending order,
-        so the draw sequence does not depend on the representation.
-        """
-        if self.protocol.uses_index_pools:
-            pool = self.protocol.vector_push_samplers(round_index, state)
-            if pool is not None:
-                if self._all_positive():
-                    return pool
-                return pool[self._degree_positive[pool]]
-        push_mask = self.protocol.vector_wants_push(round_index, state)
-        if self._all_positive():
-            return np.flatnonzero(push_mask)
-        return np.flatnonzero(push_mask & self._degree_positive)
+        push_active = protocol.push_round(round_index)
+        pull_active = protocol.pull_round(round_index)
+        fanout = protocol.vector_fanout(round_index)
+        pull_mask = protocol.vector_wants_pull(round_index, state) if pull_active else None
+        push_mask: Optional[np.ndarray] = None
+        if push_active and pull_active:
+            push_mask = protocol.vector_wants_push(round_index, state)
 
-    def _channels_opened(self, round_index: int, state: VectorState, fanout: int) -> int:
-        """Channels charged this round (full phone-call model arithmetic).
+        self._charge_channels(round_index, state, fanout, active_rows, channels)
 
-        Every calling node opens min(fanout, degree) channels per round,
+        custom = protocol.has_custom_vector_targets
+        if custom and fanout != 1:
+            raise SimulationError(
+                "custom bulk target selection requires uniform fanout 1"
+            )
+
+        # Stage A — per-replication sampling.  Generator draws cannot be
+        # merged across replications (each row owns its stream, and parity
+        # with a batch of one pins the exact call sequence), so the per-row
+        # work is exactly one draw on the fast path; sampler construction,
+        # offset arithmetic, gathers, filtering, and commit are all batched
+        # over the concatenated channel arrays.  ``cols`` holds caller node
+        # ids and ``callees`` the callee node ids, with ``part_rows`` /
+        # ``part_lengths`` giving the replication of each consecutive run of
+        # channels, in ascending-row order throughout (the per-replication
+        # counting and loss draws rely on it).
+        empty = np.empty(0, dtype=np.int64)
+        cols = callees = empty
+        part_rows: List[int] = []
+        part_lengths: List[int] = []
+        if (push_active or pull_active) and fanout > 0:
+            if fanout == 1 and not custom:
+                cols, callees, part_rows, part_lengths = self._fanout1_targets(
+                    round_index, state, active_rows, pull_active
+                )
+            else:
+                cols, callees, part_rows, part_lengths = self._per_row_targets(
+                    round_index, state, active_rows, fanout, custom
+                )
+
+        if cols.size == 0:
+            delivered = empty
+        else:
+            # Flat ``row * n + node`` channel ends; a single row needs no
+            # offsets (its flat ids are its node ids).
+            if batch == 1:
+                callers_flat, callees_flat = cols, callees
+            else:
+                row_array = np.asarray(part_rows, dtype=np.int64)
+                length_array = np.asarray(part_lengths, dtype=np.int64)
+                bases = np.repeat(row_array * n, length_array)
+                callers_flat = cols + bases
+                callees_flat = callees + bases
+
+            # Self-calls (self-loop stubs) count as opened channels but never
+            # connect; failed channels are unusable for both directions;
+            # under churn, stubs pointing at departed nodes (or compaction's
+            # -1 sentinels) are tombstones that connect nowhere.  On a static
+            # self-loop-free graph with reliable channels nothing can be
+            # filtered, so the pass is skipped outright.
+            filtered = False
+            usable: Optional[np.ndarray] = None
+            if self._dynamic or self._has_self_loops or self._channel_fail_p > 0.0:
+                usable = cols != callees
+                if self._dynamic:
+                    valid = callees >= 0
+                    usable &= valid
+                    usable &= state.alive[0][np.where(valid, callees, 0)]
+                if self._channel_fail_p > 0.0:
+                    position = 0
+                    for row, size in zip(part_rows, part_lengths):
+                        usable[position : position + size] &= (
+                            self._live_failure_gens[row].random(size)
+                            >= self._channel_fail_p
+                        )
+                        position += size
+                if not usable.all():
+                    filtered = True
+                    callees_flat = callees_flat[usable]
+                    # Push-only deliveries never read the callers again, so
+                    # the caller compress (a full-size copy in the endgame)
+                    # is only paid when a pull can use it.
+                    if pull_active:
+                        callers_flat = callers_flat[usable]
+            # The replication of each remaining channel, for the per-row
+            # counts and loss draws (``None``: a single row, or nothing needs
+            # it).
+            row_of: Optional[np.ndarray] = None
+            if batch > 1 and (filtered or pull_active or self._loss_p > 0.0):
+                row_of = np.repeat(row_array, length_array)
+                if filtered:
+                    row_of = row_of[usable]
+
+            delivered_parts: List[np.ndarray] = []
+            if push_active and callees_flat.size:
+                if pull_active:
+                    # In pull rounds everyone samples, so the pushers are the
+                    # subset flagged by the mask …
+                    sending = push_mask.reshape(-1)[callers_flat]
+                    receivers = callees_flat[sending]
+                    receiver_rows = None if row_of is None else row_of[sending]
+                else:
+                    # … while push-only rounds sample exactly the pushers,
+                    # making the mask gather a keep-everything no-op.
+                    receivers = callees_flat
+                    receiver_rows = row_of
+                if filtered or pull_active:
+                    self._count_rows(push_tx, receivers, receiver_rows)
+                else:
+                    push_tx[part_rows] = part_lengths
+                delivered_parts.append(
+                    self._drop_lost(receivers, receiver_rows, lost)
+                )
+
+            if pull_active and callers_flat.size:
+                answering = pull_mask.reshape(-1)[callees_flat]
+                receivers = callers_flat[answering]
+                receiver_rows = None if row_of is None else row_of[answering]
+                self._count_rows(pull_tx, receivers, receiver_rows)
+                delivered_parts.append(
+                    self._drop_lost(receivers, receiver_rows, lost)
+                )
+
+            if len(delivered_parts) == 1:
+                delivered = delivered_parts[0]
+            elif delivered_parts:
+                delivered = np.concatenate(delivered_parts)
+            else:
+                delivered = empty
+
+        newly_informed = state.commit_delivered(delivered, round_index)
+        protocol.vector_on_round_committed(round_index, state, newly_informed)
+        return counters
+
+    def _charge_channels(
+        self,
+        round_index: int,
+        state: VectorState,
+        fanout: int,
+        active_rows: np.ndarray,
+        channels: np.ndarray,
+    ) -> None:
+        """Write this round's per-state-row channel charge into ``channels``.
+
+        Every calling node opens ``min(fanout, degree)`` channels per round,
         whether or not its calls can carry information — identical to the
         scalar engine's accounting.  Protocols whose uninformed nodes stay
         silent report the calling set (as an index pool or a mask) so the
         charge matches the scalar per-node fanout of 0.
         """
+        n = state.n
         channel_total, uniform_cost = self._channel_info(fanout)
         if self.protocol.uses_index_pools:
             pool = self.protocol.vector_caller_pool(round_index, state)
             if pool is not None:
+                if state.batch == 1:
+                    if uniform_cost is not None:
+                        channels[0] = pool.size * uniform_cost
+                    else:
+                        channels[0] = self._channel_cost_array(fanout)[pool].sum()
+                    return
+                bounds = self._pool_bounds(pool, n, state.batch)
                 if uniform_cost is not None:
-                    return int(pool.size) * uniform_cost
-                return int(self._channel_cost_array(fanout)[pool].sum())
+                    per_row = np.diff(bounds) * uniform_cost
+                else:
+                    cost = self._channel_cost_array(fanout)
+                    sums = np.concatenate(([0], np.cumsum(cost[pool % n])))
+                    per_row = sums[bounds[1:]] - sums[bounds[:-1]]
+                channels[active_rows] = per_row[active_rows]
+                return
         caller_mask = self.protocol.vector_caller_mask(round_index, state)
         if caller_mask is None:
-            return channel_total
-        if uniform_cost is not None:
-            return int(caller_mask.sum()) * uniform_cost
-        return int(self._channel_cost_array(fanout)[caller_mask].sum())
-
-    def _run_round(self, round_index: int, state: VectorState) -> RoundRecord:
-        protocol = self.protocol
-        informed_before = int(state.informed_count)
-
-        push_active = protocol.push_round(round_index)
-        pull_active = protocol.pull_round(round_index)
-        fanout = protocol.vector_fanout(round_index)
-
-        channels_opened = self._channels_opened(round_index, state, fanout)
-
-        pull_mask = protocol.vector_wants_pull(round_index, state) if pull_active else None
-
-        # Only channels that can carry a message this round are materialised:
-        # in pull rounds any caller may receive, in push-only rounds only the
-        # pushers' calls matter.
-        push_mask: Optional[np.ndarray] = None
-        if pull_active:
-            samplers = self._nz()[0]
-            if push_active:
-                push_mask = protocol.vector_wants_push(round_index, state)
-        elif push_active:
-            samplers = self._push_samplers(round_index, state)
-        else:
-            samplers = np.empty(0, dtype=self._indices.dtype)
-
-        if protocol.has_custom_vector_targets:
-            if fanout != 1:
-                raise SimulationError(
-                    "custom bulk target selection requires uniform fanout 1"
-                )
-            if samplers.size:
-                callers = samplers
-                callees = protocol.vector_call_targets(
-                    round_index, state, samplers, self._protocol_gen,
-                    self._indptr, self._indices, self._degrees,
-                )
-            else:
-                callers = callees = np.empty(0, dtype=np.int64)
-        elif fanout == 1:
-            callers = samplers
-            if samplers.size:
-                callees = self._fanout1_callees(self._protocol_gen, samplers)
-            else:
-                callees = np.empty(0, dtype=self._indices.dtype)
-        else:
-            callers, callees = _sample_stub_targets(
-                self._protocol_gen, samplers, fanout,
-                self._indptr, self._indices, self._degrees,
-                uniform_degree=self._uniform_degree,
+            channels[active_rows] = channel_total
+        elif uniform_cost is not None:
+            channels[active_rows] = (
+                np.count_nonzero(caller_mask[active_rows], axis=1) * uniform_cost
             )
-
-        # Self-calls (self-loop stubs) count as opened channels but never
-        # connect; failed channels are unusable for both directions; under
-        # churn, stubs pointing at departed nodes (or compaction's -1
-        # sentinels) are tombstones that connect nowhere.  On a static
-        # self-loop-free graph with reliable channels nothing can be
-        # filtered, so the pass is skipped outright.
-        if self._dynamic or self._has_self_loops or self._channel_fail_p > 0.0:
-            usable = callers != callees
-            if self._dynamic and callees.size:
-                valid = callees >= 0
-                usable &= valid
-                usable &= state.alive[np.where(valid, callees, 0)]
-            if self._channel_fail_p > 0.0 and callers.size:
-                usable &= self._failure_gen.random(callers.size) >= self._channel_fail_p
-            if not usable.all():
-                # Push-only deliveries never read the callers again, so the
-                # caller compress (a full-size copy in the endgame) is only
-                # paid when a pull can use it.
-                callees = callees[usable]
-                if pull_active:
-                    callers = callers[usable]
-                else:
-                    callers = callees
-
-        push_transmissions = 0
-        pull_transmissions = 0
-        lost_transmissions = 0
-        delivered_parts: List[np.ndarray] = []
-
-        if push_active and callers.size:
-            if pull_active:
-                sending = push_mask[callers]
-                receivers = callees[sending]
-            else:
-                # Push-only rounds sample exactly the pushers, so the
-                # push-mask gather would keep every channel.
-                receivers = callees
-            push_transmissions = int(receivers.size)
-            receivers, lost = self._drop_lost(receivers)
-            lost_transmissions += lost
-            delivered_parts.append(receivers)
-
-        if pull_active and callers.size:
-            answering = pull_mask[callees]
-            receivers = callers[answering]
-            pull_transmissions = int(receivers.size)
-            receivers, lost = self._drop_lost(receivers)
-            lost_transmissions += lost
-            delivered_parts.append(receivers)
-
-        if len(delivered_parts) == 1:
-            delivered = delivered_parts[0]
-        elif delivered_parts:
-            delivered = np.concatenate(delivered_parts)
         else:
-            delivered = np.empty(0, dtype=np.int64)
+            cost = self._channel_cost_array(fanout)
+            for row in active_rows.tolist():
+                channels[row] = cost[caller_mask[row]].sum()
 
-        newly_informed = state.commit_delivered(delivered, round_index)
-        protocol.vector_on_round_committed(round_index, state, newly_informed)
-
-        return RoundRecord(
-            round_index=round_index,
-            informed_before=informed_before,
-            informed_after=int(state.informed_count),
-            push_transmissions=push_transmissions,
-            pull_transmissions=pull_transmissions,
-            channels_opened=channels_opened,
-            lost_transmissions=lost_transmissions,
-            phase=protocol.phase_label(round_index),
-        )
-
-    def _drop_lost(self, receivers: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Apply per-transmission loss; return (delivered receivers, lost count)."""
-        if self._loss_p <= 0.0 or receivers.size == 0:
-            return receivers, 0
-        lost_mask = self._failure_gen.random(receivers.size) < self._loss_p
-        lost = int(lost_mask.sum())
-        if lost:
-            receivers = receivers[~lost_mask]
-        return receivers, lost
-
-
-class BatchedVectorizedRoundEngine(_BulkEngineBase):
-    """Runs R independent replications of one configuration in lock-step.
-
-    Every replication uses its own seed from ``seeds`` (generator streams
-    spawned exactly as :class:`VectorizedRoundEngine` spawns them) and its
-    per-replication draw sequence is kept call-for-call identical to a single
-    run, so each row of the batch is bit-identical to the corresponding
-    single-seed vectorized run.  The whole ensemble's state lives in one
-    ``(R, n)`` :class:`VectorState`; delivery scatter, commits, and channel
-    accounting are performed once per round for all replications together,
-    and completed replications are compacted out of the state as they finish
-    (see the module docstring).
-
-    One protocol instance drives all replications; it is :meth:`reset` once at
-    the start of the batch, and protocols with per-node state (e.g. the
-    quasirandom pointer table) keep it per replication via the ``row``
-    argument of the bulk hooks (and remap it on compaction via
-    ``vector_compact_rows``).
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        protocol: BroadcastProtocol,
-        seeds: Sequence[int],
-        config: Optional[SimulationConfig] = None,
-        failure_model: Optional[FailureModel] = None,
-        churn_model: Optional[ChurnModel] = None,
-        tracer: Optional[Tracer] = None,
+    def _count_rows(
+        self, out: np.ndarray, items: np.ndarray, item_rows: Optional[np.ndarray]
     ) -> None:
-        if len(seeds) == 0:
-            raise SimulationError("batched run requires at least one seed")
-        self.graph = graph
-        self.protocol = protocol
-        self.config = config if config is not None else SimulationConfig()
-        self.failure_model = _resolve_failure_model(self.config, failure_model)
-        self.churn_model = churn_model if churn_model is not None else NoChurn()
-        self.seeds = [int(seed) for seed in seeds]
-
-        reason = vectorization_unsupported_reason(
-            graph,
-            protocol,
-            self.config,
-            self.failure_model,
-            self.churn_model,
-            tracer,
-            batched=True,
-        )
-        if reason is not None:
-            raise SimulationError(f"run cannot be vectorized: {reason}")
-
-        # Per-replication streams, spawned with the single-run labels so the
-        # draw sequences line up bit-for-bit with VectorizedRoundEngine.
-        self._protocol_gens = []
-        self._failure_gens = []
-        for seed in self.seeds:
-            rng = RandomSource(seed=seed, name="engine")
-            self._protocol_gens.append(rng.spawn("protocol").generator)
-            self._failure_gens.append(rng.spawn("failures").generator)
-
-        self._init_failure_probabilities()
-        self._init_bulk_state(graph)
-        # Row compaction only applies when completed rows actually leave the
-        # round loop (early stopping); it is bit-transparent either way.
-        self._compaction = bool(
-            self.config.batch_row_compaction and self.config.stop_when_informed
-        )
-
-    # -- public API ---------------------------------------------------------------
-
-    def run(self, source: int = 0) -> List[RunResult]:
-        """Run all replications; returns one :class:`RunResult` per seed."""
-        if source not in self.graph:
-            raise SimulationError(f"source node {source} is not in the graph")
-
-        n = self.graph.node_count
-        batch = len(self.seeds)
-        self.protocol.reset()
-        state = VectorState(n=n, source=source, batch=batch)
-        if self.protocol.uses_index_pools:
-            state.enable_index_tracking()
-        horizon = self.protocol.horizon()
-        if self.config.max_rounds is not None:
-            horizon = min(horizon, self.config.max_rounds)
-
-        # Live generator lists and the state-row -> original-seed map; both
-        # shrink together with the state when rows are compacted away.
-        self._live_protocol_gens = list(self._protocol_gens)
-        self._live_failure_gens = list(self._failure_gens)
-        origin = np.arange(batch, dtype=np.int64)
-
-        active = np.ones(batch, dtype=bool)
-        rounds_to_completion = np.full(batch, -1, dtype=np.int64)
-        rounds_executed = np.zeros(batch, dtype=np.int64)
-        success = np.zeros(batch, dtype=bool)
-        final_informed = np.zeros(batch, dtype=np.int64)
-        totals = {
-            key: np.zeros(batch, dtype=np.int64)
-            for key in ("push", "pull", "channels", "lost")
-        }
-        collect = self.config.collect_round_history
-        histories: List[list] = [[] for _ in range(batch)]
-        phase_transmissions: List[dict] = [{} for _ in range(batch)]
-
-        for round_index in range(1, horizon + 1):
-            active_rows = np.flatnonzero(active)
-            if active_rows.size == 0:
-                break
-            informed_before = np.array(state.informed_count, copy=True)
-            push_tx, pull_tx, channels, lost = self._run_round_batch(
-                round_index, state, active_rows
-            )
-            executed = origin[active_rows]
-            rounds_executed[executed] = round_index
-            totals["push"][origin] += push_tx
-            totals["pull"][origin] += pull_tx
-            totals["channels"][origin] += channels
-            totals["lost"][origin] += lost
-
-            phase = self.protocol.phase_label(round_index)
-            informed_after = state.informed_count
-            if phase:
-                for local in active_rows:
-                    row = int(origin[local])
-                    phase_transmissions[row][phase] = phase_transmissions[row].get(
-                        phase, 0
-                    ) + int(push_tx[local] + pull_tx[local])
-            if collect:
-                for local in active_rows:
-                    histories[int(origin[local])].append(
-                        RoundRecord(
-                            round_index=round_index,
-                            informed_before=int(informed_before[local]),
-                            informed_after=int(informed_after[local]),
-                            push_transmissions=int(push_tx[local]),
-                            pull_transmissions=int(pull_tx[local]),
-                            channels_opened=int(channels[local]),
-                            lost_transmissions=int(lost[local]),
-                            phase=phase,
-                        )
-                    )
-
-            done = active & state.all_informed()
-            newly_done = done & (rounds_to_completion[origin] < 0)
-            if newly_done.any():
-                rounds_to_completion[origin[newly_done]] = round_index
-                if self.config.stop_when_informed:
-                    active &= ~newly_done
-                    dead = state.batch - int(active.sum())
-                    # Compact once a quarter of the state rows are dead: each
-                    # event costs one O(live·n) copy, so the threshold keeps
-                    # the total copy volume linear in R·n while the per-round
-                    # O(rows·n) terms (dense commits, informed-index merges)
-                    # track the live ensemble instead of the original batch.
-                    if self._compaction and dead * 4 >= state.batch:
-                        keep = np.flatnonzero(active)
-                        dropped_origin = origin[~active]
-                        success[dropped_origin] = True
-                        final_informed[dropped_origin] = n
-                        if keep.size == 0:
-                            origin = origin[keep]
-                            break
-                        # Protocol first (it may need the old row count),
-                        # then the engine-owned state and generator lists.
-                        self.protocol.vector_compact_rows(keep, n, state.batch)
-                        state.compact_rows(keep)
-                        origin = origin[keep]
-                        self._live_protocol_gens = [
-                            self._live_protocol_gens[i] for i in keep
-                        ]
-                        self._live_failure_gens = [
-                            self._live_failure_gens[i] for i in keep
-                        ]
-                        active = np.ones(state.batch, dtype=bool)
-
-        # Rows still in the state at the end (never compacted away).
-        if origin.size:
-            live_finished = state.all_informed()
-            success[origin] = live_finished
-            final_informed[origin] = state.informed_count
-
-        shared_metadata = {
-            "protocol": self.protocol.describe(),
-            "failure_model": self.failure_model.describe(),
-            "churn_model": self.churn_model.describe(),
-            "final_node_count": self.graph.node_count,
-            "engine": "vectorized",
-        }
-        results: List[RunResult] = []
-        for row in range(batch):
-            results.append(
-                RunResult(
-                    n=n,
-                    protocol=self.protocol.name,
-                    source=source,
-                    success=bool(success[row]),
-                    rounds_executed=int(rounds_executed[row]),
-                    rounds_to_completion=(
-                        int(rounds_to_completion[row])
-                        if rounds_to_completion[row] >= 0
-                        else None
-                    ),
-                    total_push_transmissions=int(totals["push"][row]),
-                    total_pull_transmissions=int(totals["pull"][row]),
-                    total_channels_opened=int(totals["channels"][row]),
-                    total_lost_transmissions=int(totals["lost"][row]),
-                    final_informed=int(final_informed[row]),
-                    history=histories[row],
-                    phase_transmissions=phase_transmissions[row],
-                    metadata={**shared_metadata, "batch_size": batch},
-                )
-            )
-        return results
-
-    # -- round mechanics -------------------------------------------------------------
+        """Count row-grouped flat ``items`` per replication into ``out``."""
+        if item_rows is None:
+            out[0] = items.size
+        else:
+            out += np.bincount(item_rows, minlength=out.size)
 
     def _pool_bounds(self, pool: np.ndarray, n: int, batch: int) -> np.ndarray:
         """Row-boundary positions of a sorted flat index pool."""
         return np.searchsorted(pool, np.arange(batch + 1, dtype=np.int64) * n)
 
     def _pool_row_samplers(
-        self, pool: np.ndarray, bounds: np.ndarray, row: int, n: int
+        self, pool: np.ndarray, bounds: Optional[np.ndarray], row: int, n: int
     ) -> np.ndarray:
         """One row's pool segment as node ids, neighbourless nodes removed.
 
@@ -1303,13 +1180,18 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
         into per-row sampler ids — shared by the fanout-1 segment builder and
         the per-row (custom-target / fanout > 1) loop so the two sampling
         paths cannot drift.  The result is exactly what a boolean-mask scan
-        of that row would produce, at O(segment) instead of O(n).
+        of that row would produce, at O(segment) instead of O(n).  With
+        ``bounds=None`` the pool belongs to a single-row state and is
+        already in node ids.
         """
-        segment = pool[int(bounds[row]) : int(bounds[row + 1])]
-        if segment.size:
-            segment = segment - pool.dtype.type(row * n)
-            if not self._all_positive():
-                segment = segment[self._degree_positive[segment]]
+        if bounds is None:
+            segment = pool
+        else:
+            segment = pool[int(bounds[row]) : int(bounds[row + 1])]
+            if row and segment.size:
+                segment = segment - pool.dtype.type(row * n)
+        if segment.size and not self._all_positive():
+            segment = segment[self._degree_positive[segment]]
         return segment
 
     def _pool_segments(
@@ -1326,7 +1208,7 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
         row of each non-empty segment.  Dead rows' entries are skipped without
         being touched.
         """
-        bounds = self._pool_bounds(pool, n, batch)
+        bounds = None if batch == 1 else self._pool_bounds(pool, n, batch)
         part_rows: List[int] = []
         part_lengths: List[int] = []
         pieces: List[np.ndarray] = []
@@ -1342,214 +1224,45 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
         cols = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         return cols, part_rows, part_lengths
 
-    def _run_round_batch(
+    def _fanout1_targets(
         self,
         round_index: int,
         state: VectorState,
         active_rows: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One lock-step round; returns per-state-row counter arrays."""
-        protocol = self.protocol
-        n = state.n
-        batch = state.batch
-
-        push_active = protocol.push_round(round_index)
-        pull_active = protocol.pull_round(round_index)
-        fanout = protocol.vector_fanout(round_index)
-
-        pull_mask = protocol.vector_wants_pull(round_index, state) if pull_active else None
-        push_mask: Optional[np.ndarray] = None
-        if push_active and pull_active:
-            push_mask = protocol.vector_wants_push(round_index, state)
-
-        channels = self._channels_batch(round_index, state, fanout, active_rows)
-
-        custom = protocol.has_custom_vector_targets
-        if custom and fanout != 1:
-            raise SimulationError(
-                "custom bulk target selection requires uniform fanout 1"
-            )
-
-        # Stage A — per-replication sampling.  Generator draws cannot be
-        # merged across replications (each row owns its stream, and parity
-        # with single runs pins the exact call sequence), so the per-row work
-        # is exactly one draw on the fast path; sampler construction,
-        # offset arithmetic, gathers, filtering, and commit are all batched
-        # over the concatenated channel arrays.  ``cols`` holds caller node
-        # ids, ``bases`` the ``row * n`` flattening offsets, and ``row_of``
-        # the replication of each channel, in ascending-row order throughout
-        # (the per-replication counting and loss draws rely on it).
-        cols = np.empty(0, dtype=np.int64)
-        bases = np.empty(0, dtype=np.int64)
-        callees = np.empty(0, dtype=np.int64)
-        part_rows: List[int] = []
-        part_lengths: List[int] = []
-        if (push_active or pull_active) and fanout > 0:
-            if fanout == 1 and not custom:
-                uniform = self._uniform_degree
-                if pull_active:
-                    # Every node with a neighbour samples, in every active
-                    # replication: the sampler set is one tiled constant.
-                    nz_nodes, nz_degrees = self._nz()
-                    size = int(nz_nodes.size)
-                    if size:
-                        part_rows = active_rows.tolist()
-                        part_lengths = [size] * len(part_rows)
-                        cols = np.tile(nz_nodes, active_rows.size)
-                        if uniform is None:
-                            sampler_degrees = np.tile(
-                                nz_degrees, active_rows.size
-                            )
-                else:
-                    cols, part_rows, part_lengths = self._push_sampler_segments(
-                        round_index, state, active_rows
-                    )
-                if part_rows:
-                    if not pull_active:
-                        bases = np.repeat(
-                            np.asarray(part_rows, dtype=np.int64) * n,
-                            np.asarray(part_lengths, dtype=np.int64),
-                        )
-                        if uniform is None:
-                            sampler_degrees = self._degrees[cols]
-                    draws = [
-                        self._live_protocol_gens[row].random(size)
-                        for row, size in zip(part_rows, part_lengths)
-                    ]
-                    uniforms = draws[0] if len(draws) == 1 else np.concatenate(draws)
-                    if uniform is not None:
-                        offsets = _fanout1_offsets(uniforms, uniform)
-                        callees = self._indices[cols * uniform + offsets]
-                    else:
-                        offsets = _fanout1_offsets(uniforms, sampler_degrees)
-                        callees = self._indices[self._indptr[cols] + offsets]
-            else:
-                cols, callees, part_rows, part_lengths = self._per_row_targets(
-                    round_index, state, active_rows, fanout, custom
-                )
-
-        push_tx = np.zeros(batch, dtype=np.int64)
-        pull_tx = np.zeros(batch, dtype=np.int64)
-        lost = np.zeros(batch, dtype=np.int64)
-
-        if cols.size:
-            row_array = np.asarray(part_rows, dtype=np.int64)
-            length_array = np.asarray(part_lengths, dtype=np.int64)
-            if bases.size != cols.size:
-                bases = np.repeat(row_array * n, length_array)
-            callers_flat = cols + bases
-            callees_flat = callees + bases
-            row_of: Optional[np.ndarray] = None
-            filtered = False
-
-            # Self-calls (self-loop stubs) never connect and failed channels
-            # are unusable in both directions; on a self-loop-free graph with
-            # reliable channels the filter would keep everything, so skip it.
-            if self._has_self_loops or self._channel_fail_p > 0.0:
-                usable = cols != callees
-                if self._channel_fail_p > 0.0:
-                    position = 0
-                    for row, size in zip(part_rows, part_lengths):
-                        usable[position : position + size] &= (
-                            self._live_failure_gens[row].random(size)
-                            >= self._channel_fail_p
-                        )
-                        position += size
-                if not usable.all():
-                    filtered = True
-                    row_of = np.repeat(row_array, length_array)[usable]
-                    callers_flat = callers_flat[usable]
-                    callees_flat = callees_flat[usable]
-
-            delivered_parts: List[np.ndarray] = []
-            if push_active and callers_flat.size:
-                if pull_active:
-                    # In pull rounds everyone samples, so the pushers are the
-                    # subset flagged by the mask …
-                    if row_of is None:
-                        row_of = np.repeat(row_array, length_array)
-                    sending = push_mask.reshape(-1)[callers_flat]
-                    receivers = callees_flat[sending]
-                    receiver_rows = row_of[sending]
-                    push_tx = np.bincount(receiver_rows, minlength=batch)
-                else:
-                    # … while push-only rounds sample exactly the pushers,
-                    # making the mask gather a keep-everything no-op.
-                    receivers = callees_flat
-                    if row_of is None and self._loss_p > 0.0:
-                        row_of = np.repeat(row_array, length_array)
-                    receiver_rows = row_of
-                    if filtered:
-                        push_tx = np.bincount(receiver_rows, minlength=batch)
-                    else:
-                        push_tx[row_array] = length_array
-                receivers, lost_rows = self._drop_lost_rows(receivers, receiver_rows)
-                lost += lost_rows
-                delivered_parts.append(receivers)
-
-            if pull_active and callers_flat.size:
-                if row_of is None:
-                    row_of = np.repeat(row_array, length_array)
-                answering = pull_mask.reshape(-1)[callees_flat]
-                receivers = callers_flat[answering]
-                receiver_rows = row_of[answering]
-                pull_tx = np.bincount(receiver_rows, minlength=batch)
-                receivers, lost_rows = self._drop_lost_rows(receivers, receiver_rows)
-                lost += lost_rows
-                delivered_parts.append(receivers)
-
-            if len(delivered_parts) == 1:
-                delivered = delivered_parts[0]
-            elif delivered_parts:
-                delivered = np.concatenate(delivered_parts)
-            else:
-                delivered = np.empty(0, dtype=np.int64)
+        pull_active: bool,
+    ) -> Tuple[np.ndarray, np.ndarray, List[int], List[int]]:
+        """One uniform stub call per sampler, one draw per replication."""
+        if pull_active:
+            # Every node with a neighbour samples, in every active
+            # replication: the sampler set is one tiled constant.
+            nz_nodes = self._nz()[0]
+            part_rows = active_rows.tolist() if nz_nodes.size else []
+            part_lengths = [int(nz_nodes.size)] * len(part_rows)
+            cols = nz_nodes if len(part_rows) <= 1 else np.tile(nz_nodes, len(part_rows))
         else:
-            delivered = np.empty(0, dtype=np.int64)
-
-        newly_informed = state.commit_delivered(delivered, round_index)
-        protocol.vector_on_round_committed(round_index, state, newly_informed)
-        return push_tx, pull_tx, channels, lost
-
-    def _channels_batch(
-        self,
-        round_index: int,
-        state: VectorState,
-        fanout: int,
-        active_rows: np.ndarray,
-    ) -> np.ndarray:
-        """Per-state-row channel charge for this round."""
-        batch = state.batch
-        n = state.n
-        channel_total, uniform_cost = self._channel_info(fanout)
-        channels = np.zeros(batch, dtype=np.int64)
-        if self.protocol.uses_index_pools:
-            pool = self.protocol.vector_caller_pool(round_index, state)
-            if pool is not None:
-                bounds = self._pool_bounds(pool, n, batch)
-                lengths = np.diff(bounds)
-                if uniform_cost is not None:
-                    per_row = lengths * uniform_cost
-                else:
-                    cost = self._channel_cost_array(fanout)
-                    sums = np.concatenate(
-                        ([0], np.cumsum(cost[pool % n]))
-                    )
-                    per_row = sums[bounds[1:]] - sums[bounds[:-1]]
-                channels[active_rows] = per_row[active_rows]
-                return channels
-        caller_mask = self.protocol.vector_caller_mask(round_index, state)
-        if caller_mask is None:
-            channels[active_rows] = channel_total
-        elif uniform_cost is not None:
-            channels[active_rows] = (
-                caller_mask[active_rows].sum(axis=1) * uniform_cost
+            cols, part_rows, part_lengths = self._push_sampler_segments(
+                round_index, state, active_rows
             )
+        if len(part_rows) <= 1:
+            # One replication's draw goes straight through the scratch
+            # buffers (the same stream as the concatenated path below).
+            if not part_rows:
+                return cols, cols, part_rows, part_lengths
+            generator = self._live_protocol_gens[part_rows[0]]
+            return cols, self._fanout1_callees(generator, cols), part_rows, part_lengths
+        draws = [
+            self._live_protocol_gens[row].random(size)
+            for row, size in zip(part_rows, part_lengths)
+        ]
+        uniforms = np.concatenate(draws)
+        uniform = self._uniform_degree
+        if uniform is not None:
+            offsets = _fanout1_offsets(uniforms, uniform)
+            callees = self._indices[cols * uniform + offsets]
         else:
-            cost = self._channel_cost_array(fanout)
-            per_row = (cost[None, :] * caller_mask).sum(axis=1)
-            channels[active_rows] = per_row[active_rows]
-        return channels
+            offsets = _fanout1_offsets(uniforms, self._degrees[cols])
+            callees = self._indices[self._indptr[cols] + offsets]
+        return cols, callees, part_rows, part_lengths
 
     def _push_sampler_segments(
         self, round_index: int, state: VectorState, active_rows: np.ndarray
@@ -1567,27 +1280,25 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
         # O(R·n) until the last straggler.
         if active_rows.size == batch:
             mask = push_mask
-            row_ids = None
         else:
             mask = push_mask[active_rows]
-            row_ids = active_rows
         if not self._all_positive():
             mask = mask & self._degree_positive
-        flat = np.flatnonzero(mask.ravel())
+        flat = np.flatnonzero(mask)
         part_rows: List[int] = []
         part_lengths: List[int] = []
-        cols = np.empty(0, dtype=np.int64)
-        if flat.size:
-            live = active_rows.size
-            row_boundaries = np.arange(live + 1, dtype=np.int64) * n
-            counts = np.diff(np.searchsorted(flat, row_boundaries))
-            occupied = np.flatnonzero(counts)
-            for local in occupied.tolist():
-                part_rows.append(
-                    local if row_ids is None else int(row_ids[local])
-                )
-                part_lengths.append(int(counts[local]))
-            cols = flat - np.repeat(occupied * n, counts[occupied])
+        if flat.size == 0:
+            return np.empty(0, dtype=np.int64), part_rows, part_lengths
+        live = active_rows.size
+        if live == 1:
+            return flat, [int(active_rows[0])], [int(flat.size)]
+        row_boundaries = np.arange(live + 1, dtype=np.int64) * n
+        counts = np.diff(np.searchsorted(flat, row_boundaries))
+        occupied = np.flatnonzero(counts)
+        for local in occupied.tolist():
+            part_rows.append(int(active_rows[local]))
+            part_lengths.append(int(counts[local]))
+        cols = flat - np.repeat(occupied * n, counts[occupied])
         return cols, part_rows, part_lengths
 
     def _per_row_targets(
@@ -1611,7 +1322,8 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
             if protocol.uses_index_pools:
                 pool = protocol.vector_push_samplers(round_index, state)
             if pool is not None:
-                pool_bounds = self._pool_bounds(pool, n, batch)
+                if batch > 1:
+                    pool_bounds = self._pool_bounds(pool, n, batch)
             else:
                 push_mask = protocol.vector_wants_push(round_index, state)
 
@@ -1648,39 +1360,76 @@ class BatchedVectorizedRoundEngine(_BulkEngineBase):
         if not caller_parts:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, part_rows, part_lengths
+        if len(caller_parts) == 1:
+            return caller_parts[0], callee_parts[0], part_rows, part_lengths
         cols = np.concatenate(caller_parts)
         callees = np.concatenate(callee_parts)
         return cols, callees, part_rows, part_lengths
 
-    def _drop_lost_rows(
-        self, receivers: np.ndarray, receiver_rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _drop_lost(
+        self,
+        receivers: np.ndarray,
+        receiver_rows: Optional[np.ndarray],
+        lost: np.ndarray,
+    ) -> np.ndarray:
         """Per-replication transmission loss over row-grouped flat receivers.
 
-        ``receiver_rows`` (the replication of each receiver) must be
-        non-decreasing — which the row-ordered sampling stage guarantees — so
-        each replication's loss draw matches the single-run ``_drop_lost``
-        call exactly.
+        Adds each replication's losses into ``lost`` and returns the
+        delivered receivers.  ``receiver_rows`` (the replication of each
+        receiver, ``None`` for a single-row state) must be non-decreasing —
+        which the row-ordered sampling stage guarantees — so each
+        replication draws one ``random(k)`` batch over exactly its own
+        receivers, as a batch of one would.
         """
-        batch = len(self._live_failure_gens)
-        lost = np.zeros(batch, dtype=np.int64)
         if self._loss_p <= 0.0 or receivers.size == 0:
-            return receivers, lost
-        bounds = np.searchsorted(receiver_rows, np.arange(batch + 1))
+            return receivers
+        if receiver_rows is None:
+            bounds = [0, receivers.size]
+        else:
+            bounds = np.searchsorted(
+                receiver_rows, np.arange(lost.size + 1)
+            ).tolist()
         kept_parts: List[np.ndarray] = []
-        for row in range(batch):
-            start, end = int(bounds[row]), int(bounds[row + 1])
+        for row in range(len(bounds) - 1):
+            start, end = bounds[row], bounds[row + 1]
             if end == start:
                 continue
             lost_mask = self._live_failure_gens[row].random(end - start) < self._loss_p
-            dropped = int(lost_mask.sum())
+            dropped = int(np.count_nonzero(lost_mask))
+            part = receivers[start:end]
             if dropped:
-                lost[row] = dropped
-                kept_parts.append(receivers[start:end][~lost_mask])
-            else:
-                kept_parts.append(receivers[start:end])
+                lost[row] += dropped
+                part = part[~lost_mask]
+            kept_parts.append(part)
+        if len(kept_parts) == 1:
+            return kept_parts[0]
         if kept_parts:
-            receivers = np.concatenate(kept_parts)
-        else:
-            receivers = np.empty(0, dtype=np.int64)
-        return receivers, lost
+            return np.concatenate(kept_parts)
+        return np.empty(0, dtype=np.int64)
+
+
+class VectorizedRoundEngine(BatchedVectorizedRoundEngine):
+    """A single run: the batched engine with one seed, returning its row.
+
+    Takes the parameters of :class:`repro.core.engine.RoundEngine` and
+    returns one :class:`RunResult`; every round runs through the batched
+    engine's loop and kernel.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        protocol: BroadcastProtocol,
+        config: Optional[SimulationConfig] = None,
+        seed: int = 0,
+        failure_model: Optional[FailureModel] = None,
+        churn_model: Optional[ChurnModel] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
+        super().__init__(
+            graph, protocol, [seed], config, failure_model, churn_model, tracer
+        )
+
+    def run(self, source: int = 0) -> RunResult:  # type: ignore[override]
+        """Broadcast a single message created at ``source`` in round 0."""
+        return super().run(source)[0]

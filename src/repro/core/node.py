@@ -253,21 +253,21 @@ class StateTable:
 
 
 class VectorState:
-    """Broadcast state of *all* nodes as NumPy arrays (struct-of-arrays).
+    """Broadcast state of ``R`` replications as NumPy arrays (struct-of-arrays).
 
-    The vectorized engine's counterpart of :class:`StateTable`: one boolean
-    array per flag instead of one :class:`NodeState` object per node.  The
-    commit discipline is identical — deliveries stage into :attr:`pending`
-    during a round and only promote at :meth:`commit_round` — so "a node
-    cannot forward a message in the round it receives it" holds bit-for-bit.
+    The bulk engine's counterpart of :class:`StateTable`: one boolean array
+    per flag instead of one :class:`NodeState` object per node.  The commit
+    discipline is identical — deliveries stage into :attr:`pending` during a
+    round and only promote at :meth:`commit_round` — so "a node cannot
+    forward a message in the round it receives it" holds bit-for-bit.
 
-    With ``batch=R`` every array gains a leading replication axis and the
-    object holds the state of ``R`` *independent* broadcast runs over the same
-    graph as ``(R, n)`` arrays (one row per replication, every row starting
-    from the same source).  Aggregate queries then return per-row arrays
-    instead of scalars.  Protocol bulk hooks are written against elementwise
-    semantics, so the same hook code serves both shapes; hooks that need an
-    explicitly shaped array should use :attr:`shape` rather than ``n``.
+    Every array has the shape ``(R, n)``: one row per *independent*
+    broadcast run over the same graph, every row starting from the same
+    source (``R = 1`` for a single run).  Aggregate queries return per-row
+    arrays.  Protocol bulk hooks are written against elementwise semantics
+    and index flat ids through ``array.reshape(-1)`` (``row * n + node``,
+    which is the node id itself when ``R = 1``); hooks that need an
+    explicitly shaped array should use :attr:`shape`.
 
     Protocol bulk hooks (``vector_wants_push`` etc.) receive this object and
     must treat the arrays as read-only; only the engine and the commit hook
@@ -276,23 +276,23 @@ class VectorState:
     Attributes
     ----------
     informed:
-        ``bool[n]`` (or ``bool[R, n]``) — node currently knows the message.
+        ``bool[R, n]`` — node currently knows the message.
     informed_round:
-        ``int32`` of the same shape — round the node became informed (``0``
-        for the source, ``-1`` while uninformed).
+        ``int32[R, n]`` — round the node became informed (``0`` for the
+        source, ``-1`` while uninformed).
     active:
         Algorithm 1's Phase-4 "active" flag, same shape.  Allocated lazily on
         first access (most protocols never touch it).
     pending:
         A delivery staged this round, cleared by :meth:`commit_round`.  Also
-        lazy: the active-set engines commit deliveries directly through
-        :meth:`commit_delivered` and only fall back to the pending plane for
+        lazy: the engine commits deliveries directly through
+        :meth:`commit_delivered` and only falls back to the pending plane for
         dense rounds.
 
     With :meth:`enable_index_tracking` the state additionally maintains
     :attr:`informed_flat` — the ascending flat indices of all informed nodes —
     and :attr:`newly_flat` (last round's commits) by sorted merge, which is
-    what lets the engines sample pushers in O(informed) instead of scanning
+    what lets the engine sample pushers in O(informed) instead of scanning
     all ``R·n`` flags every round.
     """
 
@@ -312,27 +312,26 @@ class VectorState:
         "_alive_count",
     )
 
-    def __init__(self, n: int, source: int, batch: Optional[int] = None) -> None:
+    def __init__(self, n: int, source: int, batch: int = 1) -> None:
         if not 0 <= source < n:
             raise ValueError(f"source {source} outside [0, {n})")
-        if batch is not None and batch < 1:
+        if batch < 1:
             raise ValueError(f"batch size must be >= 1, got {batch}")
         self.n = n
         self.source = source
         self.batch = batch
-        shape = (n,) if batch is None else (batch, n)
-        self.informed = np.zeros(shape, dtype=bool)
+        self.informed = np.zeros((batch, n), dtype=bool)
         # int32 suffices for round numbers; at n = 10⁶ this alone halves the
         # resident state (the old int64 array dominated the footprint).
-        self.informed_round = np.full(shape, -1, dtype=np.int32)
+        self.informed_round = np.full((batch, n), -1, dtype=np.int32)
         # `active` and `pending` are allocated on first touch: most protocols
-        # never read the Algorithm-1 active flag, and the active-set engines
-        # commit deliveries without staging through a pending mask.
+        # never read the Algorithm-1 active flag, and the active-set commits
+        # deliver without staging through a pending mask.
         self._active: Optional[np.ndarray] = None
         self._pending: Optional[np.ndarray] = None
-        self.informed[..., source] = True
-        self.informed_round[..., source] = 0
-        self._informed_count = 1 if batch is None else np.ones(batch, dtype=np.int64)
+        self.informed[:, source] = True
+        self.informed_round[:, source] = 0
+        self._informed_count = np.ones(batch, dtype=np.int64)
         self._track_indices = False
         self._informed_flat: Optional[np.ndarray] = None
         self._newly_flat: Optional[np.ndarray] = None
@@ -355,7 +354,7 @@ class VectorState:
             self._pending = np.zeros(self.informed.shape, dtype=bool)
         return self._pending
 
-    # -- sorted informed-index tracking (the engines' active set) --------------
+    # -- sorted informed-index tracking (the engine's active set) --------------
 
     @property
     def index_dtype(self) -> np.dtype:
@@ -373,11 +372,7 @@ class VectorState:
         "pushes in round 1" set of the phase-structured protocols).
         """
         self._track_indices = True
-        dtype = self.index_dtype
-        if self.batch is None:
-            flat = np.array([self.source], dtype=dtype)
-        else:
-            flat = np.arange(self.batch, dtype=dtype) * self.n + self.source
+        flat = np.arange(self.batch, dtype=self.index_dtype) * self.n + self.source
         self._informed_flat = flat
         self._newly_flat = flat
 
@@ -404,9 +399,16 @@ class VectorState:
     _REBUILD_SCAN_LIMIT = 1 << 19
 
     def _record_newly(self, newly: np.ndarray) -> None:
+        """Count a commit's (sorted, flat) newly informed indices per row and
+        fold them into the index pools."""
+        if newly.size:
+            if self.batch == 1:
+                self._informed_count += newly.size
+            else:
+                boundaries = np.arange(self.batch + 1, dtype=np.int64) * self.n
+                self._informed_count += np.diff(np.searchsorted(newly, boundaries))
         if not self._track_indices:
             return
-        newly = newly.astype(self.index_dtype, copy=False)
         self._newly_flat = newly
         if newly.size == 0:
             return
@@ -417,21 +419,22 @@ class VectorState:
         else:
             self._informed_flat = merge_sorted_disjoint(self._informed_flat, newly)
 
-    # -- dynamic membership (tombstone masks; single-run states only) ----------
+    # -- dynamic membership (tombstone masks; single-row states only) ----------
 
     def enable_membership(self) -> None:
         """Track node-axis membership for churn runs (tombstone masks).
 
-        Departed nodes stay as *dead rows* in the state arrays — their flags
-        cleared, their ids evicted from the index pools — until the engine's
-        threshold-triggered :meth:`compact_nodes` renumbers them away.  Joins
-        grow the arrays at the tail (:meth:`grow_nodes`), so live ids are
-        always ``flatnonzero(alive)``.  Membership is a single-run feature:
-        the batched engine rejects churn (per-replication graphs diverge).
+        Departed nodes stay as *dead columns* in the state arrays — their
+        flags cleared, their ids evicted from the index pools — until the
+        engine's threshold-triggered :meth:`compact_nodes` renumbers them
+        away.  Joins grow the arrays at the tail (:meth:`grow_nodes`), so
+        live ids are always ``flatnonzero(alive)``.  Membership diverges per
+        replication, so it requires a single-row state (``R = 1``), where a
+        flat index is the node id.
         """
-        if self.batch is not None:
-            raise ValueError("dynamic membership requires an unbatched state")
-        self._alive = np.ones(self.n, dtype=bool)
+        if self.batch != 1:
+            raise ValueError("dynamic membership requires a single-row state")
+        self._alive = np.ones((1, self.n), dtype=bool)
         self._alive_count = self.n
 
     @property
@@ -441,7 +444,7 @@ class VectorState:
 
     @property
     def alive(self) -> np.ndarray:
-        """``bool[n]`` liveness plane (membership tracking only)."""
+        """``bool[1, n]`` liveness plane (membership tracking only)."""
         if self._alive is None:
             raise RuntimeError("enable_membership() has not been called")
         return self._alive
@@ -464,16 +467,16 @@ class VectorState:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             return 0
-        alive = self.alive
-        informed_removed = int(np.count_nonzero(self.informed[ids]))
+        alive = self.alive[0]
+        informed_removed = int(np.count_nonzero(self.informed[0, ids]))
         alive[ids] = False
         self._alive_count -= int(ids.size)
-        self.informed[ids] = False
-        self.informed_round[ids] = -1
+        self.informed[0, ids] = False
+        self.informed_round[0, ids] = -1
         if self._active is not None:
-            self._active[ids] = False
+            self._active[0, ids] = False
         if self._pending is not None:
-            self._pending[ids] = False
+            self._pending[0, ids] = False
         self._informed_count -= informed_removed
         if self._track_indices:
             self._informed_flat = remove_sorted_values(self._informed_flat, ids)
@@ -491,18 +494,19 @@ class VectorState:
             raise RuntimeError("enable_membership() has not been called")
         if count <= 0:
             return np.empty(0, dtype=np.int64)
+
+        def grown(plane: np.ndarray, fill) -> np.ndarray:
+            tail = np.full((1, count), fill, dtype=plane.dtype)
+            return np.concatenate([plane, tail], axis=1)
+
         old_n = self.n
-        self.informed = np.concatenate([self.informed, np.zeros(count, dtype=bool)])
-        self.informed_round = np.concatenate(
-            [self.informed_round, np.full(count, -1, dtype=np.int32)]
-        )
+        self.informed = grown(self.informed, False)
+        self.informed_round = grown(self.informed_round, -1)
         if self._active is not None:
-            self._active = np.concatenate([self._active, np.zeros(count, dtype=bool)])
+            self._active = grown(self._active, False)
         if self._pending is not None:
-            self._pending = np.concatenate(
-                [self._pending, np.zeros(count, dtype=bool)]
-            )
-        self._alive = np.concatenate([self._alive, np.ones(count, dtype=bool)])
+            self._pending = grown(self._pending, False)
+        self._alive = grown(self._alive, True)
         self._alive_count += count
         self.n = old_n + count
         return np.arange(old_n, self.n, dtype=np.int64)
@@ -525,13 +529,13 @@ class VectorState:
         old_n = self.n
         remap = np.full(old_n, -1, dtype=np.int64)
         remap[keep] = np.arange(keep.size, dtype=np.int64)
-        self.informed = self.informed[keep]
-        self.informed_round = self.informed_round[keep]
+        self.informed = self.informed[:, keep]
+        self.informed_round = self.informed_round[:, keep]
         if self._active is not None:
-            self._active = self._active[keep]
+            self._active = self._active[:, keep]
         if self._pending is not None:
-            self._pending = self._pending[keep]
-        self._alive = np.ones(keep.size, dtype=bool)
+            self._pending = self._pending[:, keep]
+        self._alive = np.ones((1, keep.size), dtype=bool)
         self._alive_count = int(keep.size)
         self.n = int(keep.size)
         # Informed ⊆ alive (remove_nodes clears the flag), so every pooled id
@@ -547,21 +551,21 @@ class VectorState:
 
     @property
     def shape(self):
-        """Shape of the state arrays: ``(n,)`` or ``(R, n)`` for a batch."""
+        """Shape of the state arrays, ``(R, n)``."""
         return self.informed.shape
 
     @property
-    def informed_count(self):
-        """Informed nodes: an int, or an ``int64[R]`` array for a batch."""
+    def informed_count(self) -> np.ndarray:
+        """Informed nodes per replication, ``int64[R]``."""
         return self._informed_count
 
     @property
-    def uninformed_count(self):
-        """Uninformed *live* nodes: an int, or ``int64[R]`` for a batch."""
+    def uninformed_count(self) -> np.ndarray:
+        """Uninformed *live* nodes per replication, ``int64[R]``."""
         return self.alive_count - self._informed_count
 
-    def all_informed(self):
-        """Whether every live node is informed (per replication for a batch)."""
+    def all_informed(self) -> np.ndarray:
+        """Whether every live node is informed, per replication."""
         return self._informed_count == self.alive_count
 
     # -- round lifecycle -------------------------------------------------------
@@ -569,21 +573,16 @@ class VectorState:
     def commit_round(self, round_index: int) -> np.ndarray:
         """Promote all staged deliveries; return the flat ids newly informed.
 
-        The returned indices address ``informed.reshape(-1)`` — for the
-        unbatched shape they are plain node ids, for a batch they encode
-        ``row * n + node``.  Hooks that flip per-node flags should therefore
-        index through ``array.reshape(-1)`` (a view for these contiguous
-        arrays), which is shape-agnostic.
+        The returned indices address ``informed.reshape(-1)`` and encode
+        ``row * n + node`` (plain node ids for a single row).  Hooks that flip
+        per-node flags should therefore index through ``array.reshape(-1)``
+        (a view for these contiguous arrays).
         """
-        newly_mask = self.pending & ~self.informed
-        newly = np.flatnonzero(newly_mask).astype(self.index_dtype, copy=False)
+        newly = np.flatnonzero(self.pending & ~self.informed)
+        newly = newly.astype(self.index_dtype, copy=False)
         if newly.size:
             self.informed.reshape(-1)[newly] = True
             self.informed_round.reshape(-1)[newly] = round_index
-            if self.batch is None:
-                self._informed_count += int(newly.size)
-            else:
-                self._informed_count += newly_mask.sum(axis=1)
         self.pending.fill(False)
         self._record_newly(newly)
         return newly
@@ -593,7 +592,7 @@ class VectorState:
 
         Equivalent to staging ``delivered`` into :attr:`pending` and calling
         :meth:`commit_round` (same newly-informed set, in the same ascending
-        order) — the batched engine's commit path.  Sparse delivery sets are
+        order) — the engine's commit path.  Sparse delivery sets are
         deduplicated by sorting (``O(k log k)``), dense ones via the pending
         mask (``O(R·n)``); the crossover keeps the commit cheap both in early
         rounds (tiny ``k``) and in the endgame (few live replications).
@@ -609,22 +608,15 @@ class VectorState:
         flat_informed = self.informed.reshape(-1)
         newly = delivered[~flat_informed[delivered]]
         newly = newly.astype(self.index_dtype, copy=False)
-        if newly.size == 0:
-            self._record_newly(newly)
-            return newly
-        newly = np.sort(newly)
         if newly.size > 1:
+            newly = np.sort(newly)
             keep = np.empty(newly.size, dtype=bool)
             keep[0] = True
             np.not_equal(newly[1:], newly[:-1], out=keep[1:])
             newly = newly[keep]
-        flat_informed[newly] = True
-        self.informed_round.reshape(-1)[newly] = round_index
-        if self.batch is None:
-            self._informed_count += int(newly.size)
-        else:
-            boundaries = np.arange(self.batch + 1, dtype=np.int64) * self.n
-            self._informed_count += np.diff(np.searchsorted(newly, boundaries))
+        if newly.size:
+            flat_informed[newly] = True
+            self.informed_round.reshape(-1)[newly] = round_index
         self._record_newly(newly)
         return newly
 
@@ -662,14 +654,12 @@ class VectorState:
     def compact_rows(self, keep: np.ndarray) -> None:
         """Drop batch rows not listed in ``keep`` (ascending row indices).
 
-        Used by the batched engine to remap completed replications out of the
-        state: every ``(R, n)`` plane is sliced down to the kept rows and the
-        flat index vectors are renumbered accordingly, so subsequent rounds
-        run over a smaller ensemble.  The caller owns the mapping from
-        compacted row numbers back to original replications.
+        Used by the engine to remap completed replications out of the state:
+        every ``(R, n)`` plane is sliced down to the kept rows and the flat
+        index vectors are renumbered accordingly, so subsequent rounds run
+        over a smaller ensemble.  The caller owns the mapping from compacted
+        row numbers back to original replications.
         """
-        if self.batch is None:
-            raise ValueError("compact_rows requires a batched state")
         old_batch = self.batch
         keep = np.asarray(keep, dtype=np.int64)
         self.informed = self.informed[keep]

@@ -426,7 +426,6 @@ class ParallelScenarioExecutor:
             "master_seed": spec.master_seed,
             "repetitions": spec.repetitions,
             "engine": spec.engine,
-            "batch": spec.batch,
         }
 
         def handle_payload(payload: Dict[str, object]) -> None:

@@ -106,7 +106,6 @@ def run_experiment(
         master_seed=master_seed,
         repetitions=spec.repetitions,
         engine=spec.engine,
-        batch=spec.batch,
     )
 
     table = Table(

@@ -7,11 +7,10 @@ a 16k-node regular graph is more expensive than broadcasting over it), seeding
 discipline, and repetition so the individual experiment modules stay short and
 declarative.
 
-Multi-seed sweeps dispatch to the batched vectorized engine
-(:func:`repro.core.engine.run_broadcast_batch`) whenever the single-run
-vectorized-eligibility rules hold, which collapses the per-seed Python loop
-into one ``(R, n)`` NumPy program without changing any result bit (each batch
-row is bit-identical to the corresponding per-seed run).
+Multi-seed sweeps go through :func:`repro.core.engine.run_broadcast_batch`,
+which runs all seeds of a configuration as one ``(R, n)`` NumPy program
+whenever the bulk engine applies, without changing any result bit (each
+batch row equals the corresponding single-seed run).
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..core.config import SimulationConfig
-from ..core.engine import run_broadcast, run_broadcast_batch
-from ..core.engine_vectorized import vectorization_unsupported_reason
+from ..core.engine import run_broadcast_batch
 from ..core.errors import ConfigurationError
 from ..core.metrics import RunAggregate, RunResult, aggregate_runs
 from ..core.rng import RandomSource, derive_seed
@@ -56,63 +54,26 @@ def repeat_broadcast(
     failure_model: Optional[FailureModel] = None,
     churn_factory: Optional[Callable[[], ChurnModel]] = None,
     source: int = 0,
-    batch: bool = True,
 ) -> List[RunResult]:
     """Run the same protocol over the same graph once per seed.
 
-    Multi-seed sweeps route through :func:`run_broadcast_batch` whenever the
-    vectorized-eligibility rules hold (``batch=False`` disables this), which
-    runs all repetitions as one ``(R, n)`` NumPy program; each returned
-    result is bit-identical to the corresponding per-seed run.  Otherwise a
-    fresh protocol instance is built per run (protocols may hold per-run
-    state) and engine selection goes through :func:`run_broadcast`, so sweeps
-    still pick up the vectorized fast path whenever the protocol and
-    configuration allow it.  Churn sweeps never batch (membership diverges
-    per replication) but do run per-seed on the single-run vectorized engine
-    when the model and protocol opt in; the graph is copied per run only when
-    a churn run lands on the scalar engine, which mutates it (the vectorized
-    engine works on a private CSR copy).
+    Builds one protocol instance (and one churn model, when
+    ``churn_factory`` is given) and hands all seeds to
+    :func:`run_broadcast_batch`, which runs them as one ``(R, n)`` NumPy
+    program when the bulk engine applies, one seed at a time under churn,
+    and on the scalar engine otherwise.  Every engine resets the protocol
+    and churn model before round 1, so each result equals a fresh
+    single-seed run.
     """
-    cfg = config if config is not None else SimulationConfig()
-    if batch and len(seeds) > 1 and churn_factory is None and cfg.engine != "scalar":
-        protocol = protocol_factory(n_estimate)
-        if (
-            vectorization_unsupported_reason(graph, protocol, cfg, failure_model)
-            is None
-        ):
-            return run_broadcast_batch(
-                graph=graph,
-                protocol=protocol,
-                seeds=seeds,
-                source=source,
-                config=cfg,
-                failure_model=failure_model,
-            )
-    results: List[RunResult] = []
-    needs_graph_copy: Optional[bool] = None
-    for seed in seeds:
-        protocol = protocol_factory(n_estimate)
-        churn_model = churn_factory() if churn_factory is not None else None
-        if needs_graph_copy is None:
-            needs_graph_copy = churn_model is not None and (
-                cfg.engine == "scalar"
-                or vectorization_unsupported_reason(
-                    graph, protocol, cfg, failure_model, churn_model
-                )
-                is not None
-            )
-        results.append(
-            run_broadcast(
-                graph=graph.copy() if needs_graph_copy else graph,
-                protocol=protocol,
-                source=source,
-                seed=seed,
-                config=config,
-                failure_model=failure_model,
-                churn_model=churn_model,
-            )
-        )
-    return results
+    return run_broadcast_batch(
+        graph=graph,
+        protocol=protocol_factory(n_estimate),
+        seeds=seeds,
+        source=source,
+        config=config,
+        failure_model=failure_model,
+        churn_model=churn_factory() if churn_factory is not None else None,
+    )
 
 
 @dataclass
@@ -131,16 +92,11 @@ class ExperimentRunner:
         :class:`SimulationConfig` (``"auto"`` | ``"scalar"`` |
         ``"vectorized"``).  ``"auto"`` leaves any caller-supplied config
         untouched.
-    batch:
-        Whether multi-seed sweeps may run on the batched vectorized engine
-        (bit-identical to the per-seed loop; disable to force one run per
-        engine invocation, e.g. when profiling single runs).
     """
 
     master_seed: int = 2008
     repetitions: int = 5
     engine: str = "auto"
-    batch: bool = True
 
     def __post_init__(self) -> None:
         self._graph_cache: Dict[tuple, Graph] = {}
@@ -167,7 +123,6 @@ class ExperimentRunner:
             master_seed=spec.master_seed,
             repetitions=spec.repetitions,
             engine=spec.engine,
-            batch=spec.batch,
         )
 
     # -- graphs ---------------------------------------------------------------------
@@ -253,7 +208,6 @@ class ExperimentRunner:
             failure_model=failure_model,
             churn_factory=churn_factory,
             source=source,
-            batch=self.batch,
         )
 
     def broadcast_aggregate(
@@ -310,7 +264,7 @@ class ExperimentRunner:
         Both feed the same derivations, so a mismatch would silently produce
         results belonging to a different scenario.
         """
-        for attribute in ("master_seed", "engine", "batch"):
+        for attribute in ("master_seed", "engine"):
             if getattr(spec, attribute) != getattr(self, attribute):
                 raise ConfigurationError(
                     f"scenario {attribute} ({getattr(spec, attribute)!r}) does not "
@@ -371,7 +325,6 @@ class ExperimentRunner:
             failure_model=spec.failure.build(),
             churn_factory=spec.churn.factory(),
             source=spec.source,
-            batch=self.batch,
         )
         point_dict = spec.to_dict()
         for result in results:

@@ -233,7 +233,7 @@ def random_regular_graph(
         ``"rejection"``, ``"repair"``, ``"networkx"`` or ``"auto"`` (see the
         module docstring).  Ignored when ``simple`` is False.
     max_attempts:
-        Retry budget for the rejection strategy.
+        Pairing draws the rejection and repair strategies may make.
 
     Raises
     ------
@@ -259,9 +259,21 @@ def random_regular_graph(
         )
 
     if strategy == "repair":
-        edges = _pairing_edge_array(n, d, rng)
-        edges = repair_to_simple(edges, rng.spawn("repair"))
-        return Graph.from_edge_array(n, edges)
+        # On small dense (n, d) a repair can wedge (no admissible swap left
+        # for the last bad edges), so a failed repair redraws the pairing.
+        # The first attempt draws exactly what a single attempt always drew.
+        for attempt in range(max_attempts):
+            edges = _pairing_edge_array(n, d, rng)
+            labels = ("repair",) if attempt == 0 else ("repair", attempt)
+            try:
+                edges = repair_to_simple(edges, rng.spawn(*labels))
+            except GraphGenerationError:
+                continue
+            return Graph.from_edge_array(n, edges)
+        raise GraphGenerationError(
+            f"failed to repair a simple {d}-regular graph on {n} nodes "
+            f"after {max_attempts} pairing attempts"
+        )
 
     if strategy == "networkx":
         nx_graph = nx.random_regular_graph(d, n, seed=rng.randint(0, 2**31 - 1))

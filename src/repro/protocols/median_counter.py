@@ -99,6 +99,9 @@ class MedianCounterProtocol(BroadcastProtocol, OptionalHorizonMixin):
         if fanout > 1:
             self.name = f"median-counter-{fanout}"
 
+        self.reset()
+
+    def reset(self) -> None:
         # Per-node protocol state (the engine only tracks informedness).
         self._state: Dict[int, str] = {}
         self._counter: Dict[int, int] = {}

@@ -11,8 +11,8 @@ rather than memory or multiple simultaneous choices.
 
 The protocol's only randomness is one starting offset per node, which makes
 it a natural bulk-array candidate: the per-node cursor lives in an integer
-pointer table shaped like the engine state (``(n,)`` for a single run,
-``(R, n)`` for a batch), advanced by a vectorized gather into the CSR
+pointer table shaped like the engine state (``(R, n)``, one row per
+replication), advanced by a vectorized gather into the CSR
 adjacency ``indices``.  The scalar engine keeps the original per-node dict.
 """
 

@@ -173,7 +173,7 @@ def run_spec(
 
     Expands the sweep grid row-major (first axis outermost), materialises
     graphs/protocols/failure models through the registries, and runs every
-    point's repetitions through the batched multi-seed engine whenever the
+    point's repetitions as one batch on the bulk engine whenever the
     vectorized-eligibility rules hold.  Seeds derive from
     ``spec.master_seed`` with the :class:`ExperimentRunner` discipline, so
     results are bit-identical to the equivalent hand-wired runner calls.

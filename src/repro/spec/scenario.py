@@ -238,7 +238,7 @@ class ChurnSpec:
 
     ``"none"`` (the default) materialises to *no* churn model, which is
     bit-identical to the hand-wired ``churn_model=None`` convention — static
-    scenarios stay on the static fast paths (including the batched engine).
+    scenarios stay on the static fast paths (all seeds of a point in one batch).
     Any other id names a :data:`CHURN_MODELS` entry; its params are validated
     against the model's constructor at spec-construction time.
     """
@@ -444,8 +444,8 @@ class ScenarioSpec:
         protocol / failure parameter (e.g. ``"e1-{protocol}"``).  The label
         feeds the run-seed derivation, so it is part of the reproducibility
         contract.  ``None`` uses the scenario name.
-    engine / batch:
-        Execution knobs, forwarded to :class:`ExperimentRunner`.
+    engine:
+        Engine selection, forwarded to :class:`ExperimentRunner`.
     config:
         :class:`SimulationConfig` overrides (``stop_when_informed``,
         ``max_rounds``, ``message_loss_probability``, ...).  ``engine`` is not
@@ -464,7 +464,6 @@ class ScenarioSpec:
     master_seed: int = 2008
     label: Optional[str] = None
     engine: str = "auto"
-    batch: bool = True
     config: Dict[str, object] = field(default_factory=dict)
     source: int = 0
 
@@ -582,7 +581,6 @@ class ScenarioSpec:
             "master_seed": self.master_seed,
             "label": self.label,
             "engine": self.engine,
-            "batch": self.batch,
             "config": dict(self.config),
             "source": self.source,
         }
@@ -604,7 +602,6 @@ class ScenarioSpec:
                 "master_seed",
                 "label",
                 "engine",
-                "batch",
                 "config",
                 "source",
             ),
@@ -633,7 +630,6 @@ class ScenarioSpec:
             master_seed=data.get("master_seed", 2008),
             label=data.get("label"),
             engine=data.get("engine", "auto"),
-            batch=data.get("batch", True),
             config=_require_mapping(data.get("config"), "config overrides"),
             source=data.get("source", 0),
         )

@@ -4,8 +4,9 @@ The vectorized engine's churn mode promises three robustness contracts:
 
 1. **bit-identity across execution shape** — the same (graph, protocol,
    churn model, seed) produces byte-for-byte identical results whether node
-   compaction is on or off, whether ``repeat_broadcast`` is asked to batch
-   or not, and whether a ScenarioSpec runs serially, across worker
+   compaction is on or off, whether the seeds run through
+   ``repeat_broadcast`` or one ``run_broadcast`` call each, and whether a
+   ScenarioSpec runs serially, across worker
    processes, resumed from a stream directory, or under an injected worker
    kill;
 2. **statistical parity with the scalar engine** — membership is
@@ -25,7 +26,10 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.engine import run_broadcast, run_broadcast_batch
-from repro.core.engine_vectorized import vectorization_unsupported_reason
+from repro.core.engine_vectorized import (
+    BatchedVectorizedRoundEngine,
+    vectorization_unsupported_reason,
+)
 from repro.core.errors import SimulationError
 from repro.core.rng import RandomSource
 from repro.experiments.runner import repeat_broadcast
@@ -131,24 +135,32 @@ class TestBitIdentity:
         assert compacted_meta == uncompacted_meta
         assert runs[True][-1] == runs[False][-1]
 
-    def test_repeat_broadcast_batch_flag_is_inert_under_churn(self):
-        """Churn never batches, so ``batch=`` cannot change results."""
+    def test_repeat_broadcast_under_churn_matches_single_runs(self):
+        """One protocol and churn model serve every seed (reset per run), so
+        the results equal one fresh single-seed run per seed."""
         graph = _graph(n=128)
         seeds = [1, 2, 3]
-        runs = {}
-        for batch in (True, False):
-            results = repeat_broadcast(
+        config = SimulationConfig(collect_round_history=True)
+        results = repeat_broadcast(
+            graph=graph,
+            protocol_factory=PROTOCOL_FACTORIES["algorithm1"],
+            n_estimate=128,
+            seeds=seeds,
+            config=config,
+            churn_factory=CHURN_FACTORIES["uniform"],
+        )
+        singles = [
+            run_broadcast(
                 graph=graph,
-                protocol_factory=PROTOCOL_FACTORIES["algorithm1"],
-                n_estimate=128,
-                seeds=seeds,
-                config=SimulationConfig(collect_round_history=True),
-                churn_factory=CHURN_FACTORIES["uniform"],
-                batch=batch,
+                protocol=PROTOCOL_FACTORIES["algorithm1"](128),
+                seed=seed,
+                config=config,
+                churn_model=CHURN_FACTORIES["uniform"](),
             )
-            assert all(r.metadata["engine"] == "vectorized" for r in results)
-            runs[batch] = [fingerprint(r) for r in results]
-        assert runs[True] == runs[False]
+            for seed in seeds
+        ]
+        assert all(r.metadata["engine"] == "vectorized" for r in results)
+        assert results == singles
 
     def test_run_broadcast_batch_falls_back_per_seed_with_churn(self):
         graph = _graph(n=128)
@@ -178,15 +190,19 @@ class TestBitIdentity:
 
 
 class TestDispatch:
-    def test_batched_reason_names_churn(self):
-        reason = vectorization_unsupported_reason(
-            _graph(n=64, d=4),
-            Algorithm1(n_estimate=64),
-            SimulationConfig(),
-            churn_model=CHURN_FACTORIES["uniform"](),
-            batched=True,
+    def test_engine_takes_one_seed_under_churn(self):
+        graph = _graph(n=64, d=4)
+        churn = CHURN_FACTORIES["uniform"]()
+        assert (
+            vectorization_unsupported_reason(
+                graph, Algorithm1(n_estimate=64), SimulationConfig(), churn_model=churn
+            )
+            is None
         )
-        assert reason is not None and "batched engine" in reason
+        with pytest.raises(SimulationError, match="exactly one seed"):
+            BatchedVectorizedRoundEngine(
+                graph, Algorithm1(n_estimate=64), seeds=[1, 2], churn_model=churn
+            )
 
     def test_forced_vectorized_raises_for_non_dynamic_protocol(self):
         with pytest.raises(SimulationError, match="dynamic"):

@@ -30,10 +30,11 @@ class TestParser:
         assert args.experiment_id == "E1"
         assert args.full is True
 
-    def test_simulate_batch_flag(self):
-        assert build_parser().parse_args(["simulate"]).batch is True
-        assert build_parser().parse_args(["simulate", "--no-batch"]).batch is False
-        assert build_parser().parse_args(["simulate", "--batch"]).batch is True
+    def test_simulate_has_no_batch_flag(self):
+        # Seeds always share one batched engine run when it applies.
+        for flag in ("--batch", "--no-batch"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["simulate", flag])
 
 
 class TestCommands:
@@ -82,15 +83,15 @@ class TestCommands:
         assert "aggregate over 2 runs" in output
         assert "batched x2" in output
 
-    def test_simulate_no_batch_runs_per_seed(self, capsys):
+    def test_simulate_single_seed_is_not_labelled_batched(self, capsys):
         exit_code = main(
             ["simulate", "--n", "128", "--d", "6", "--protocol", "push",
-             "--seeds", "2", "--no-batch"]
+             "--seeds", "1"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "aggregate over 2 runs" in output
-        assert "batched" not in output
+        assert "aggregate over 1 runs" in output
+        assert "[engine: vectorized]" in output
 
     def test_simulate_with_loss_and_full_schedule(self, capsys):
         exit_code = main(

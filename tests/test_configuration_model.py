@@ -9,6 +9,7 @@ from repro.core.errors import GraphGenerationError
 from repro.core.rng import RandomSource
 from repro.graphs.base import Graph
 from repro.graphs.configuration_model import (
+    _pairing_edge_array,
     _random_pairing,
     connected_random_regular_graph,
     pairing_multigraph,
@@ -134,6 +135,16 @@ class TestRandomRegularGraph:
     def test_rejection_gives_up_for_large_degree(self, rng):
         with pytest.raises(GraphGenerationError):
             random_regular_graph(64, 16, rng, strategy="rejection", max_attempts=2)
+
+    def test_repair_redraws_a_pairing_it_cannot_repair(self):
+        # The first pairing of this seed wedges the swap repair (all 200
+        # passes fail); the strategy must redraw instead of giving up.
+        rng = RandomSource(seed=1723)
+        with pytest.raises(GraphGenerationError):
+            repair_to_simple(_pairing_edge_array(8, 6, rng), rng.spawn("repair"))
+        graph = random_regular_graph(8, 6, RandomSource(seed=1723), strategy="repair")
+        assert graph.is_simple()
+        assert graph.is_regular()
 
     def test_different_seeds_give_different_graphs(self):
         a = random_regular_graph(64, 4, RandomSource(seed=1))

@@ -2,8 +2,8 @@
 
 The batched engine's contract is stronger than the scalar↔vectorized one:
 every replication of a batch must be *bit-identical* to the corresponding
-single-seed vectorized run (same seeds, same graph, same configuration), with
-only ``metadata["batch_size"]`` distinguishing the results.  These tests pin
+single-seed vectorized run (same seeds, same graph, same configuration): the
+results compare equal, metadata included.  These tests pin
 that contract over ≥20 seeds for every batchable protocol, exercise the
 failure-injection paths, and cover the dispatch plumbing
 (``run_broadcast_batch`` → ``repeat_broadcast`` → ``ExperimentRunner``) plus
@@ -79,6 +79,19 @@ def run_signature(result):
     )
 
 
+def record_batches(monkeypatch):
+    """Record the seed count of every batched engine run (patched in place)."""
+    batches = []
+    original = BatchedVectorizedRoundEngine.run
+
+    def run(self, source=0):
+        batches.append(len(self.seeds))
+        return original(self, source)
+
+    monkeypatch.setattr(BatchedVectorizedRoundEngine, "run", run)
+    return batches
+
+
 def assert_bit_identical(graph, factory, seeds, **config_kwargs):
     config = SimulationConfig(engine="vectorized", **config_kwargs)
     n = graph.node_count
@@ -90,7 +103,7 @@ def assert_bit_identical(graph, factory, seeds, **config_kwargs):
     for single, row in zip(singles, batched):
         assert run_signature(single) == run_signature(row)
         assert row.metadata["engine"] == "vectorized"
-        assert row.metadata["batch_size"] == len(seeds)
+        assert row == single
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +185,6 @@ class TestBatchDispatch:
         )
         assert len(results) == 2
         assert all(r.metadata["engine"] == "scalar" for r in results)
-        assert all("batch_size" not in r.metadata for r in results)
 
     def test_forced_vectorized_with_unsupported_protocol_raises(self, regular_graph):
         with pytest.raises(SimulationError, match="bulk hooks"):
@@ -192,50 +204,41 @@ class TestBatchDispatch:
         )
         assert all(r.metadata["engine"] == "scalar" for r in results)
 
-    def test_repeat_broadcast_routes_through_batch(self, regular_graph):
+    def test_repeat_broadcast_routes_through_batch(self, regular_graph, monkeypatch):
+        batches = record_batches(monkeypatch)
         results = repeat_broadcast(
             graph=regular_graph,
             protocol_factory=lambda n: PushProtocol(n_estimate=n),
             n_estimate=512,
             seeds=[5, 6, 7],
         )
-        assert all(r.metadata.get("batch_size") == 3 for r in results)
+        assert batches == [3]
+        assert len(results) == 3
 
-    def test_repeat_broadcast_batch_results_match_loop(self, regular_graph):
-        kwargs = dict(
-            graph=regular_graph,
-            protocol_factory=lambda n: PushProtocol(n_estimate=n),
-            n_estimate=512,
-            seeds=[5, 6, 7],
-            config=SimulationConfig(engine="vectorized"),
-        )
-        batched = repeat_broadcast(batch=True, **kwargs)
-        looped = repeat_broadcast(batch=False, **kwargs)
-        for one, other in zip(looped, batched):
-            assert run_signature(one) == run_signature(other)
-
-    def test_repeat_broadcast_batch_disabled(self, regular_graph):
+    def test_repeat_broadcast_results_match_single_runs(self, regular_graph):
         results = repeat_broadcast(
             graph=regular_graph,
             protocol_factory=lambda n: PushProtocol(n_estimate=n),
             n_estimate=512,
-            seeds=[5, 6],
-            batch=False,
+            seeds=[5, 6, 7],
         )
-        assert all("batch_size" not in r.metadata for r in results)
+        singles = [
+            run_broadcast(regular_graph, PushProtocol(n_estimate=512), seed=seed)
+            for seed in (5, 6, 7)
+        ]
+        assert results == singles
 
-    def test_experiment_runner_uses_batch(self):
+    def test_experiment_runner_uses_batch(self, monkeypatch):
+        batches = record_batches(monkeypatch)
         runner = ExperimentRunner(master_seed=1, repetitions=3)
         results = runner.broadcast(64, 4, lambda n: PushProtocol(n_estimate=n), label="b")
-        assert all(r.metadata.get("batch_size") == 3 for r in results)
-
-    def test_experiment_runner_batch_off_matches_batch_on(self):
-        on = ExperimentRunner(master_seed=1, repetitions=3)
-        off = ExperimentRunner(master_seed=1, repetitions=3, batch=False)
-        batched = on.broadcast(64, 4, lambda n: PushProtocol(n_estimate=n), label="b")
-        looped = off.broadcast(64, 4, lambda n: PushProtocol(n_estimate=n), label="b")
-        for one, other in zip(looped, batched):
-            assert run_signature(one) == run_signature(other)
+        assert batches == [3]
+        graph = runner.regular_graph(64, 4)
+        singles = [
+            run_broadcast(graph, PushProtocol(n_estimate=64), seed=seed)
+            for seed in runner.run_seeds("b-64-4")
+        ]
+        assert results == singles
 
 
 # ---------------------------------------------------------------------------

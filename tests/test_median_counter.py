@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.core.engine import run_broadcast
+from repro.core.engine import run_broadcast, run_broadcast_batch
 from repro.core.errors import ConfigurationError
 from repro.core.node import NodeState, StateTable
 from repro.core.rng import RandomSource
@@ -125,3 +125,18 @@ class TestEndToEnd:
         assert protocol.name == "median-counter-4"
         result = run_broadcast(graph, protocol, seed=13)
         assert result.success
+
+    def test_reused_instance_matches_fresh_instances(self):
+        # Multi-seed calls drive every seed through one protocol instance,
+        # so reset() must clear the per-node counters between runs.
+        graph = random_regular_graph(128, 8, RandomSource(seed=14))
+        config = SimulationConfig(stop_when_informed=False)
+        seeds = [1, 2, 3]
+        shared = run_broadcast_batch(
+            graph, MedianCounterProtocol(n_estimate=128), seeds, config=config
+        )
+        fresh = [
+            run_broadcast(graph, MedianCounterProtocol(n_estimate=128), seed=seed, config=config)
+            for seed in seeds
+        ]
+        assert shared == fresh

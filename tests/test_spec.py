@@ -72,7 +72,7 @@ SPEC_VARIANTS = {
     "complete-graph": lambda: small_spec(
         graph=GraphSpec(family="complete", params={"n": 32})
     ),
-    "engine-batch": lambda: small_spec(engine="scalar", batch=False),
+    "engine-scalar": lambda: small_spec(engine="scalar"),
 }
 
 
@@ -106,6 +106,12 @@ class TestRoundTrip:
 
 
 class TestValidation:
+    def test_removed_batch_key_named(self):
+        data = small_spec().to_dict()
+        data["batch"] = True
+        with pytest.raises(ConfigurationError, match="'batch'"):
+            ScenarioSpec.from_dict(data)
+
     def test_unknown_protocol_named(self):
         with pytest.raises(ConfigurationError, match="telepathy"):
             ProtocolSpec(name="telepathy")
@@ -363,11 +369,10 @@ class TestSpecDrivenExecution:
         run = run_spec(SPEC_VARIANTS["complete-graph"]())
         assert run.points[0].aggregate.success_rate == 1.0
 
-    def test_engine_and_batch_knobs_respected(self):
-        run = run_spec(SPEC_VARIANTS["engine-batch"]())
+    def test_engine_knob_respected(self):
+        run = run_spec(SPEC_VARIANTS["engine-scalar"]())
         result = run.points[0].results[0]
         assert result.metadata["engine"] == "scalar"
-        assert "batch_size" not in result.metadata
 
     def test_config_overrides_apply(self):
         run = run_spec(SPEC_VARIANTS["config-overrides"]())
