@@ -3,11 +3,16 @@
 The smoke test runs an E1-scale round-complexity sweep serially and with two
 worker processes, asserts the merged result is **bit-identical** to the
 serial one (per-round history included — parallelism must never change a
-number), and measures the speedup.  The speedup floor is only asserted when
-the machine actually has more than one usable core: on a single-core
-container the parallel run cannot beat serial, so there the test instead
-bounds the orchestration overhead (wire serialisation, result-payload
-round trip, pool management) to at most 2x.
+number), and measures the speedup.  The 1.2x speedup floor is only asserted
+when the host actually delivers parallel throughput, which a short
+calibration burn measures first: the same CPU-bound loop timed in one worker
+process alone and in two worker processes at once.  The CPU count a
+container reports can exceed the cores it is actually scheduled on, so the
+burn, not ``sched_getaffinity``, decides.  Where two processes deliver less
+than ``PARALLEL_CAPACITY_MIN`` one-process throughputs, the parallel run
+cannot beat serial by much, so the test instead bounds the orchestration
+overhead (wire serialisation, result-payload round trip, pool management)
+to at most 2x.  The calibration is printed beside the result.
 
 Recorded numbers live in ``BENCH_micro.json`` under ``parallel_sweep_e1``.
 """
@@ -15,8 +20,10 @@ Recorded numbers live in ``BENCH_micro.json`` under ``parallel_sweep_e1``.
 from __future__ import annotations
 
 import json
-import os
+import multiprocessing
+import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -30,15 +37,54 @@ from repro.spec import run_spec
 BENCH_SIZES = SweepSizes(sizes=[2048, 4096, 8192], repetitions=20)
 
 
-def usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+#: Two processes must deliver at least this many one-process throughputs
+#: before a 1.2x sweep speedup (which also pays pool startup and result
+#: transport) can be demanded.
+PARALLEL_CAPACITY_MIN = 1.6
+
+#: Iterations of one calibration burn (~0.1-0.2 s of pure-Python work).
+_BURN_ITERATIONS = 1_500_000
+
+
+def _burn(iterations: int) -> float:
+    """A CPU-bound task timed inside the worker (excludes dispatch)."""
+    start = time.perf_counter()
+    total = 0
+    for value in range(iterations):
+        total += value * value
+    return time.perf_counter() - start
+
+
+def calibrate_parallel_capacity(repeats: int = 3) -> dict:
+    """How many one-process throughputs two busy processes deliver.
+
+    Both measurements run in the same warmed-up two-worker pool: one burn
+    alone, then two burns at once; capacity is ``2 · alone / together``
+    (2.0 on two real cores, about 1.0 when both share one).  The median of
+    ``repeats`` rounds damps scheduler noise.
+    """
+    alone, together = [], []
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+        list(pool.map(_burn, [1000, 1000]))
+        for _ in range(repeats):
+            alone.append(pool.submit(_burn, _BURN_ITERATIONS).result())
+            start = time.perf_counter()
+            list(pool.map(_burn, [_BURN_ITERATIONS] * 2))
+            together.append(time.perf_counter() - start)
+    one, two = statistics.median(alone), statistics.median(together)
+    return {
+        "one_process_s": round(one, 4),
+        "two_processes_s": round(two, 4),
+        "capacity": round(2 * one / two, 3),
+    }
 
 
 @pytest.mark.smoke
 def test_parallel_e1_sweep_parity_and_speedup(capsys):
     spec = e1_scenario(sizes=BENCH_SIZES)
+    calibration = calibrate_parallel_capacity()
+    parallel_host = calibration["capacity"] >= PARALLEL_CAPACITY_MIN
 
     start = time.perf_counter()
     serial = run_spec(spec)
@@ -57,7 +103,7 @@ def test_parallel_e1_sweep_parity_and_speedup(capsys):
         assert ours == theirs
 
     speedup = serial_seconds / parallel_seconds
-    cpus = usable_cpus()
+    floor = 1.2 if parallel_host else 0.5
     with capsys.disabled():
         print()
         print(
@@ -66,25 +112,28 @@ def test_parallel_e1_sweep_parity_and_speedup(capsys):
                     "bench": "parallel_sweep_e1",
                     "grid_points": len(serial.points),
                     "runs": len(serial_results),
-                    "cpus": cpus,
                     "serial_seconds": round(serial_seconds, 3),
                     "workers2_seconds": round(parallel_seconds, 3),
                     "speedup": round(speedup, 3),
+                    "calibration": calibration,
+                    "speedup_floor": floor,
                 }
             )
         )
 
-    if cpus >= 2:
-        # Real parallel hardware: two workers must deliver a real speedup.
-        assert speedup >= 1.2, (
-            f"2-worker sweep only {speedup:.2f}x faster than serial "
-            f"on {cpus} cpus"
+    if parallel_host:
+        # Real parallel throughput: two workers must deliver a real speedup.
+        assert speedup >= floor, (
+            f"2-worker sweep only {speedup:.2f}x faster than serial on a host "
+            f"whose two processes deliver {calibration['capacity']:.2f}x"
         )
     else:
-        # Single core: parallelism cannot win; bound the overhead instead.
-        assert speedup >= 0.5, (
-            f"2-worker sweep {1 / speedup:.2f}x slower than serial on one "
-            "cpu — orchestration overhead regressed"
+        # No parallel throughput: parallelism cannot win; bound the
+        # overhead instead.
+        assert speedup >= floor, (
+            f"2-worker sweep {1 / speedup:.2f}x slower than serial on a host "
+            f"whose two processes deliver {calibration['capacity']:.2f}x — "
+            "orchestration overhead regressed"
         )
 
 

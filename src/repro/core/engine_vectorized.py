@@ -5,34 +5,38 @@ This engine executes the same synchronous random phone call model as
 as arrays (:class:`repro.core.node.VectorState`) and executes each round with
 bulk operations over the graph's CSR adjacency view:
 
-1. the protocol reports who pushes and who answers calls this round — as a
-   sorted *index pool* (``vector_push_samplers``, maintained incrementally by
-   the engine) when it opts into index tracking, or as boolean masks;
-2. every node that needs to sample does so in one batch — a single
-   ``Generator.integers`` gather for fanout 1, a chunked random-key top-``k``
-   selection for larger fanouts — yielding flat ``callers`` / ``callees``
-   channel arrays;
+1. the protocol reports who pushes and who answers calls this round — in
+   push-only rounds as a sorted *index pool* (``vector_push_samplers``,
+   usually a pool the state maintains incrementally), in pull and mixed
+   rounds as boolean masks gathered per channel (``vector_wants_pull`` /
+   ``vector_wants_push``);
+2. every node that needs to sample does so in one batch — one
+   ``Generator.random`` draw mapped to stub offsets for fanout 1, a chunked
+   random-key top-``k`` selection for larger fanouts — yielding flat
+   ``callers`` / ``callees`` channel arrays;
 3. failure injection is a Bernoulli array over the channels and transmissions;
 4. deliveries commit sparsely (:meth:`VectorState.commit_delivered`): only the
    uninformed hits are sorted and promoted, so "received in round ``t``,
    effective in ``t + 1``" holds exactly as in the scalar engine while the
    commit cost tracks the shrinking uninformed set.
 
-Active sets and scratch buffers
+Index pools and scratch buffers
 -------------------------------
-Protocols with ``uses_index_pools`` never trigger an O(n) flag scan in
-push-only rounds: the engine maintains the sorted informed-index vector by
-merge at each commit, the protocol hands back the relevant pool (informed,
-last round's newly informed, Algorithm 1's active list), and sampling cost is
-proportional to the number of *pushers*, which is what makes the exponential
-growth phase cost O(n) in aggregate rather than O(n · rounds).  The fanout-1
-sampling pipeline reuses preallocated scratch buffers (uniforms, stub
-offsets, gather positions, callees) instead of allocating fresh full-size
-arrays every round, and all index arrays follow the CSR index dtype (int32
-for every graph below two billion stubs).  Draw *sequences* are unchanged:
-pools enumerate exactly the nodes the mask scan would, in the same ascending
-order, and ``Generator.random(out=...)`` fills a scratch slice with the same
-stream a fresh allocation would get.
+Push-only rounds never trigger an O(n) flag scan: the state maintains the
+sorted informed-index vector by merge at each commit, the protocol hands back
+the relevant pool (informed, last round's newly informed, Algorithm 1's
+active list), and sampling cost is proportional to the number of *pushers*,
+which is what makes the exponential growth phase cost O(n) in aggregate
+rather than O(n · rounds).  Channel charging works the same way: the
+protocol's ``vector_caller_pool`` (``None`` for "every node with a
+neighbour") is summed per row.  Above ``_SCRATCH_MIN_SAMPLERS`` samplers
+the fanout-1 sampling pipeline reuses preallocated scratch buffers
+(uniforms, stub offsets, gather positions, callees) instead of allocating
+fresh full-size arrays every round, and all index arrays follow the CSR
+index dtype (int32 for every graph below two billion stubs).
+``Generator.random(out=...)`` fills a scratch slice with the same stream a
+fresh allocation would get, so the scratch path draws exactly what the
+allocating path draws.
 
 Replications: one engine for one run or many
 --------------------------------------------
@@ -159,6 +163,11 @@ __all__ = [
 _CHUNK_ENTRIES = 1 << 22
 
 
+def _overrides(protocol: BroadcastProtocol, hook: str) -> bool:
+    """Whether ``protocol``'s class overrides the base class's ``hook``."""
+    return getattr(type(protocol), hook) is not getattr(BroadcastProtocol, hook)
+
+
 def vectorization_unsupported_reason(
     graph: Graph,
     protocol: BroadcastProtocol,
@@ -182,26 +191,19 @@ def vectorization_unsupported_reason(
     # The bulk engine never builds a StateTable, so protocols that override
     # the StateTable-based lifecycle hooks cannot run on it even if they
     # opted in — guard against a future protocol combining both.
-    if type(protocol).on_round_start is not BroadcastProtocol.on_round_start:
+    if _overrides(protocol, "on_round_start"):
         return f"protocol {protocol.name!r} overrides the on_round_start hook"
-    if type(protocol).finished is not BroadcastProtocol.finished:
+    if _overrides(protocol, "finished"):
         return f"protocol {protocol.name!r} overrides the finished() rule"
-    if type(protocol).on_round_committed is not BroadcastProtocol.on_round_committed and (
-        type(protocol).vector_on_round_committed
-        is BroadcastProtocol.vector_on_round_committed
+    for scalar_hook, bulk_hook in (
+        ("on_round_committed", "vector_on_round_committed"),
+        ("select_call_targets", "vector_call_targets"),
     ):
-        return (
-            f"protocol {protocol.name!r} overrides on_round_committed without "
-            "a bulk counterpart"
-        )
-    if (
-        type(protocol).select_call_targets is not BroadcastProtocol.select_call_targets
-        and not protocol.has_custom_vector_targets
-    ):
-        return (
-            f"protocol {protocol.name!r} overrides select_call_targets without "
-            "a bulk counterpart"
-        )
+        if _overrides(protocol, scalar_hook) and not _overrides(protocol, bulk_hook):
+            return (
+                f"protocol {protocol.name!r} overrides {scalar_hook} without "
+                "a bulk counterpart"
+            )
     if tracer is not None and not isinstance(tracer, NullTracer):
         return "a tracer is attached (tracing is per-event)"
     if churn_model is not None and not isinstance(churn_model, NoChurn):
@@ -227,25 +229,6 @@ def vectorization_unsupported_reason(
     return None
 
 
-def _fanout1_offsets(
-    uniforms: np.ndarray, sampler_degrees
-) -> np.ndarray:
-    """Uniform stub offsets from pre-drawn uniforms (``floor(U · d)``).
-
-    A batch of uniforms is ~2× faster to generate than per-element bounded
-    integers and ``floor(U · d)`` is uniform over ``[0, d)`` up to an
-    O(2⁻⁵³) float bias; the clip guards the half-ulp rounding edge where
-    ``U · d`` could land exactly on ``d``.  ``sampler_degrees`` may be a
-    per-sampler array or a scalar (regular graphs).  The engine draws
-    exactly one ``generator.random(k)`` per (replication, round) and maps it
-    through this function, which is what keeps a batch row's stream
-    independent of the other rows.
-    """
-    offsets = (uniforms * sampler_degrees).astype(np.int64)
-    np.minimum(offsets, np.asarray(sampler_degrees) - 1, out=offsets)
-    return offsets
-
-
 def _sample_stub_targets(
     generator: np.random.Generator,
     samplers: np.ndarray,
@@ -253,30 +236,16 @@ def _sample_stub_targets(
     indptr: np.ndarray,
     indices: np.ndarray,
     degrees: np.ndarray,
-    uniform_degree: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Each sampler calls ``min(fanout, degree)`` distinct adjacency stubs.
+    """Every sampler calls ``min(fanout, degree)`` distinct adjacency stubs.
 
     Returns flat ``(callers, callees)`` arrays, one entry per channel.
     Sampling is over adjacency *positions*, so parallel edges weight the
     draw exactly as the scalar ``select_call_targets`` does.  Parameterised
     by the generator, so each replication draws from its own stream.
-    ``uniform_degree`` short-circuits the per-sampler degree gathers on
-    regular graphs (it never changes the draw sequence).
+    Requires ``fanout >= 2`` and a non-empty ``samplers``; fanout 1 goes
+    through the engine's ``_stub_callees`` instead.
     """
-    empty = np.empty(0, dtype=np.int64)
-    if samplers.size == 0 or fanout <= 0:
-        return empty, empty
-
-    if fanout == 1:
-        # Hot path of the standard model: one uniform stub per node.
-        uniforms = generator.random(samplers.size)
-        if uniform_degree is not None:
-            offsets = _fanout1_offsets(uniforms, uniform_degree)
-            return samplers, indices[samplers * uniform_degree + offsets]
-        offsets = _fanout1_offsets(uniforms, degrees[samplers])
-        return samplers, indices[indptr[samplers] + offsets]
-
     sampler_degrees = degrees[samplers]
     saturated = sampler_degrees <= fanout
 
@@ -313,8 +282,6 @@ def _sample_stub_targets(
             callers_parts.append(np.repeat(nodes, fanout))
             callees_parts.append(indices[positions.ravel()])
 
-    if not callers_parts:
-        return empty, empty
     return np.concatenate(callers_parts), np.concatenate(callees_parts)
 
 
@@ -477,6 +444,7 @@ class BatchedVectorizedRoundEngine:
         )
         if reason is not None:
             raise SimulationError(f"run cannot be vectorized: {reason}")
+        self._custom_targets = _overrides(protocol, "vector_call_targets")
         self._dynamic = not isinstance(self.churn_model, NoChurn)
         if self._dynamic and len(self.seeds) != 1:
             raise SimulationError(
@@ -535,8 +503,6 @@ class BatchedVectorizedRoundEngine:
         self.protocol.reset()
         self.churn_model.reset()
         state = VectorState(n=n, source=source, batch=batch)
-        if self.protocol.uses_index_pools:
-            state.enable_index_tracking()
         if self._dynamic:
             state.enable_membership()
             self._state = state
@@ -709,7 +675,7 @@ class BatchedVectorizedRoundEngine:
 
         The uniform cost applies when every node pays the same
         ``min(degree, fanout)`` — regular graphs, or fanout 1 without
-        isolated nodes — and turns pool/mask channel accounting into a
+        isolated nodes — and turns caller-pool channel accounting into a
         multiplication instead of a gather over a cost array.
         """
         cached = self._channel_info_cache.get(fanout)
@@ -735,7 +701,28 @@ class BatchedVectorizedRoundEngine:
             self._channel_cost_cache[fanout] = cached
         return cached
 
-    # -- fanout-1 scratch sampling -------------------------------------------------
+    # -- fanout-1 sampling ---------------------------------------------------------
+
+    def _stub_callees(self, uniforms: np.ndarray, samplers: np.ndarray) -> np.ndarray:
+        """Callees of one uniform stub per sampler from pre-drawn uniforms.
+
+        The stub offset is ``floor(U · d)``: a batch of uniforms is ~2×
+        faster to generate than per-element bounded integers, and the offset
+        is uniform over ``[0, d)`` up to an O(2⁻⁵³) float bias; the clip
+        guards the half-ulp rounding edge where ``U · d`` could land exactly
+        on ``d``.  The engine draws exactly one ``generator.random(k)`` per
+        (replication, round) and maps it through here, which is what keeps a
+        batch row's stream independent of the other rows.
+        """
+        if self._uniform_degree is not None:
+            degrees = self._uniform_degree
+            starts = samplers * degrees
+        else:
+            degrees = self._degrees[samplers]
+            starts = self._indptr[samplers]
+        offsets = (uniforms * degrees).astype(np.int64)
+        np.minimum(offsets, degrees - 1, out=offsets)
+        return self._indices[starts + offsets]
 
     def _ensure_scratch(self, capacity: int) -> None:
         current = self._scratch_uniform
@@ -771,12 +758,7 @@ class BatchedVectorizedRoundEngine:
         """
         k = samplers.size
         if k < self._SCRATCH_MIN_SAMPLERS:
-            uniforms = generator.random(k)
-            if self._uniform_degree is not None:
-                offsets = _fanout1_offsets(uniforms, self._uniform_degree)
-                return self._indices[samplers * self._uniform_degree + offsets]
-            offsets = _fanout1_offsets(uniforms, self._degrees[samplers])
-            return self._indices[self._indptr[samplers] + offsets]
+            return self._stub_callees(generator.random(k), samplers)
         self._ensure_scratch(k)
         uniforms = self._scratch_uniform[:k]
         generator.random(out=uniforms)
@@ -986,7 +968,7 @@ class BatchedVectorizedRoundEngine:
 
         self._charge_channels(round_index, state, fanout, active_rows, channels)
 
-        custom = protocol.has_custom_vector_targets
+        custom = self._custom_targets
         if custom and fanout != 1:
             raise SimulationError(
                 "custom bulk target selection requires uniform fanout 1"
@@ -1072,14 +1054,14 @@ class BatchedVectorizedRoundEngine:
             delivered_parts: List[np.ndarray] = []
             if push_active and callees_flat.size:
                 if pull_active:
-                    # In pull rounds everyone samples, so the pushers are the
-                    # subset flagged by the mask …
+                    # In mixed rounds everyone samples, so the pushers are
+                    # the subset flagged by the push mask …
                     sending = push_mask.reshape(-1)[callers_flat]
                     receivers = callees_flat[sending]
                     receiver_rows = None if row_of is None else row_of[sending]
                 else:
-                    # … while push-only rounds sample exactly the pushers,
-                    # making the mask gather a keep-everything no-op.
+                    # … while push-only rounds sample exactly the pushers'
+                    # pool, so every channel carries a push.
                     receivers = callees_flat
                     receiver_rows = row_of
                 if filtered or pull_active:
@@ -1122,41 +1104,30 @@ class BatchedVectorizedRoundEngine:
 
         Every calling node opens ``min(fanout, degree)`` channels per round,
         whether or not its calls can carry information — identical to the
-        scalar engine's accounting.  Protocols whose uninformed nodes stay
-        silent report the calling set (as an index pool or a mask) so the
-        charge matches the scalar per-node fanout of 0.
+        scalar engine's accounting.  The callers are the protocol's
+        ``vector_caller_pool``, or every node with a neighbour when it
+        returns ``None``; protocols whose uninformed nodes stay silent report
+        their callers so the charge matches the scalar per-node fanout of 0.
         """
         n = state.n
         channel_total, uniform_cost = self._channel_info(fanout)
-        if self.protocol.uses_index_pools:
-            pool = self.protocol.vector_caller_pool(round_index, state)
-            if pool is not None:
-                if state.batch == 1:
-                    if uniform_cost is not None:
-                        channels[0] = pool.size * uniform_cost
-                    else:
-                        channels[0] = self._channel_cost_array(fanout)[pool].sum()
-                    return
-                bounds = self._pool_bounds(pool, n, state.batch)
-                if uniform_cost is not None:
-                    per_row = np.diff(bounds) * uniform_cost
-                else:
-                    cost = self._channel_cost_array(fanout)
-                    sums = np.concatenate(([0], np.cumsum(cost[pool % n])))
-                    per_row = sums[bounds[1:]] - sums[bounds[:-1]]
-                channels[active_rows] = per_row[active_rows]
-                return
-        caller_mask = self.protocol.vector_caller_mask(round_index, state)
-        if caller_mask is None:
+        pool = self.protocol.vector_caller_pool(round_index, state)
+        if pool is None:
             channels[active_rows] = channel_total
-        elif uniform_cost is not None:
-            channels[active_rows] = (
-                np.count_nonzero(caller_mask[active_rows], axis=1) * uniform_cost
-            )
+        elif state.batch == 1:
+            if uniform_cost is not None:
+                channels[0] = pool.size * uniform_cost
+            else:
+                channels[0] = self._channel_cost_array(fanout)[pool].sum()
         else:
-            cost = self._channel_cost_array(fanout)
-            for row in active_rows.tolist():
-                channels[row] = cost[caller_mask[row]].sum()
+            bounds = self._pool_bounds(pool, n, state.batch)
+            if uniform_cost is not None:
+                per_row = np.diff(bounds) * uniform_cost
+            else:
+                cost = self._channel_cost_array(fanout)
+                sums = np.concatenate(([0], np.cumsum(cost[pool % n])))
+                per_row = sums[bounds[1:]] - sums[bounds[:-1]]
+            channels[active_rows] = per_row[active_rows]
 
     def _count_rows(
         self, out: np.ndarray, items: np.ndarray, item_rows: Optional[np.ndarray]
@@ -1179,10 +1150,8 @@ class BatchedVectorizedRoundEngine:
         The single place that turns flat ``row * n + node`` pool entries back
         into per-row sampler ids — shared by the fanout-1 segment builder and
         the per-row (custom-target / fanout > 1) loop so the two sampling
-        paths cannot drift.  The result is exactly what a boolean-mask scan
-        of that row would produce, at O(segment) instead of O(n).  With
-        ``bounds=None`` the pool belongs to a single-row state and is
-        already in node ids.
+        paths cannot drift.  With ``bounds=None`` the pool belongs to a
+        single-row state and is already in node ids.
         """
         if bounds is None:
             segment = pool
@@ -1240,8 +1209,11 @@ class BatchedVectorizedRoundEngine:
             part_lengths = [int(nz_nodes.size)] * len(part_rows)
             cols = nz_nodes if len(part_rows) <= 1 else np.tile(nz_nodes, len(part_rows))
         else:
-            cols, part_rows, part_lengths = self._push_sampler_segments(
-                round_index, state, active_rows
+            cols, part_rows, part_lengths = self._pool_segments(
+                self.protocol.vector_push_samplers(round_index, state),
+                active_rows,
+                state.n,
+                state.batch,
             )
         if len(part_rows) <= 1:
             # One replication's draw goes straight through the scratch
@@ -1254,52 +1226,8 @@ class BatchedVectorizedRoundEngine:
             self._live_protocol_gens[row].random(size)
             for row, size in zip(part_rows, part_lengths)
         ]
-        uniforms = np.concatenate(draws)
-        uniform = self._uniform_degree
-        if uniform is not None:
-            offsets = _fanout1_offsets(uniforms, uniform)
-            callees = self._indices[cols * uniform + offsets]
-        else:
-            offsets = _fanout1_offsets(uniforms, self._degrees[cols])
-            callees = self._indices[self._indptr[cols] + offsets]
+        callees = self._stub_callees(np.concatenate(draws), cols)
         return cols, callees, part_rows, part_lengths
-
-    def _push_sampler_segments(
-        self, round_index: int, state: VectorState, active_rows: np.ndarray
-    ) -> Tuple[np.ndarray, List[int], List[int]]:
-        """Push-only sampler node ids per active row (ascending-row order)."""
-        n = state.n
-        batch = state.batch
-        if self.protocol.uses_index_pools:
-            pool = self.protocol.vector_push_samplers(round_index, state)
-            if pool is not None:
-                return self._pool_segments(pool, active_rows, n, batch)
-        push_mask = self.protocol.vector_wants_push(round_index, state)
-        # Work on the active rows only: when replications have completed,
-        # the scan shrinks with the live ensemble instead of staying
-        # O(R·n) until the last straggler.
-        if active_rows.size == batch:
-            mask = push_mask
-        else:
-            mask = push_mask[active_rows]
-        if not self._all_positive():
-            mask = mask & self._degree_positive
-        flat = np.flatnonzero(mask)
-        part_rows: List[int] = []
-        part_lengths: List[int] = []
-        if flat.size == 0:
-            return np.empty(0, dtype=np.int64), part_rows, part_lengths
-        live = active_rows.size
-        if live == 1:
-            return flat, [int(active_rows[0])], [int(flat.size)]
-        row_boundaries = np.arange(live + 1, dtype=np.int64) * n
-        counts = np.diff(np.searchsorted(flat, row_boundaries))
-        occupied = np.flatnonzero(counts)
-        for local in occupied.tolist():
-            part_rows.append(int(active_rows[local]))
-            part_lengths.append(int(counts[local]))
-        cols = flat - np.repeat(occupied * n, counts[occupied])
-        return cols, part_rows, part_lengths
 
     def _per_row_targets(
         self,
@@ -1317,15 +1245,10 @@ class BatchedVectorizedRoundEngine:
 
         pool: Optional[np.ndarray] = None
         pool_bounds: Optional[np.ndarray] = None
-        push_mask: Optional[np.ndarray] = None
         if not pull_active:
-            if protocol.uses_index_pools:
-                pool = protocol.vector_push_samplers(round_index, state)
-            if pool is not None:
-                if batch > 1:
-                    pool_bounds = self._pool_bounds(pool, n, batch)
-            else:
-                push_mask = protocol.vector_wants_push(round_index, state)
+            pool = protocol.vector_push_samplers(round_index, state)
+            if batch > 1:
+                pool_bounds = self._pool_bounds(pool, n, batch)
 
         caller_parts: List[np.ndarray] = []
         callee_parts: List[np.ndarray] = []
@@ -1334,10 +1257,8 @@ class BatchedVectorizedRoundEngine:
         for row in active_rows.tolist():
             if pull_active:
                 samplers = self._nz()[0]
-            elif pool is not None:
-                samplers = self._pool_row_samplers(pool, pool_bounds, row, n)
             else:
-                samplers = np.flatnonzero(push_mask[row] & self._degree_positive)
+                samplers = self._pool_row_samplers(pool, pool_bounds, row, n)
             if samplers.size == 0:
                 continue
             generator = self._live_protocol_gens[row]
@@ -1351,7 +1272,6 @@ class BatchedVectorizedRoundEngine:
                 row_callers, row_callees = _sample_stub_targets(
                     generator, samplers, fanout,
                     self._indptr, self._indices, self._degrees,
-                    uniform_degree=self._uniform_degree,
                 )
             caller_parts.append(row_callers)
             callee_parts.append(row_callees)

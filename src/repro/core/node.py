@@ -7,10 +7,10 @@ the delivery buffer (:meth:`NodeState.deliver`) and the end-of-round commit
 ``t`` only take effect in round ``t + 1``" semantics of the paper explicit.
 
 :class:`VectorState` is the struct-of-arrays counterpart used by the
-vectorized engine (:mod:`repro.core.engine_vectorized`): the same four fields
-— informed flag, informed round, active flag, staged delivery — held as NumPy
-arrays over all nodes so a round is a handful of bulk operations instead of
-``n`` object manipulations.
+vectorized engine (:mod:`repro.core.engine_vectorized`): the informed flag,
+informed round and staged delivery held as NumPy arrays over all nodes, plus
+sorted index pools of the informed nodes, so a round is a handful of bulk
+operations instead of ``n`` object manipulations.
 """
 
 from __future__ import annotations
@@ -269,9 +269,8 @@ class VectorState:
     which is the node id itself when ``R = 1``); hooks that need an
     explicitly shaped array should use :attr:`shape`.
 
-    Protocol bulk hooks (``vector_wants_push`` etc.) receive this object and
-    must treat the arrays as read-only; only the engine and the commit hook
-    mutate them.
+    Protocol bulk hooks (``vector_push_samplers`` etc.) receive this object
+    and must treat the arrays as read-only; only the engine mutates them.
 
     Attributes
     ----------
@@ -280,20 +279,19 @@ class VectorState:
     informed_round:
         ``int32[R, n]`` — round the node became informed (``0`` for the
         source, ``-1`` while uninformed).
-    active:
-        Algorithm 1's Phase-4 "active" flag, same shape.  Allocated lazily on
-        first access (most protocols never touch it).
     pending:
         A delivery staged this round, cleared by :meth:`commit_round`.  Also
         lazy: the engine commits deliveries directly through
         :meth:`commit_delivered` and only falls back to the pending plane for
         dense rounds.
 
-    With :meth:`enable_index_tracking` the state additionally maintains
-    :attr:`informed_flat` — the ascending flat indices of all informed nodes —
-    and :attr:`newly_flat` (last round's commits) by sorted merge, which is
-    what lets the engine sample pushers in O(informed) instead of scanning
-    all ``R·n`` flags every round.
+    The state also keeps two sorted index pools, the sets push-only rounds
+    sample from: :attr:`newly_flat` (last round's commits) and
+    :attr:`informed_flat` (the ascending flat indices of all informed nodes).
+    ``informed_flat`` is built on first access and kept current by sorted
+    merge from then on, which lets the engine sample pushers in O(informed)
+    instead of scanning all ``R·n`` flags every round, while protocols that
+    never ask for it (pull, push-pull) never pay for it.
     """
 
     __slots__ = (
@@ -302,10 +300,8 @@ class VectorState:
         "batch",
         "informed",
         "informed_round",
-        "_active",
         "_pending",
         "_informed_count",
-        "_track_indices",
         "_informed_flat",
         "_newly_flat",
         "_alive",
@@ -324,28 +320,20 @@ class VectorState:
         # int32 suffices for round numbers; at n = 10⁶ this alone halves the
         # resident state (the old int64 array dominated the footprint).
         self.informed_round = np.full((batch, n), -1, dtype=np.int32)
-        # `active` and `pending` are allocated on first touch: most protocols
-        # never read the Algorithm-1 active flag, and the active-set commits
-        # deliver without staging through a pending mask.
-        self._active: Optional[np.ndarray] = None
+        # `pending` is allocated on first touch: sparse commits deliver
+        # without staging through a pending mask.
         self._pending: Optional[np.ndarray] = None
         self.informed[:, source] = True
         self.informed_round[:, source] = 0
         self._informed_count = np.ones(batch, dtype=np.int64)
-        self._track_indices = False
         self._informed_flat: Optional[np.ndarray] = None
-        self._newly_flat: Optional[np.ndarray] = None
+        # The source entries: exactly the "pushes in round 1" set of the
+        # phase-structured protocols.
+        self._newly_flat = np.arange(batch, dtype=self.index_dtype) * n + source
         self._alive: Optional[np.ndarray] = None
         self._alive_count: Optional[int] = None
 
     # -- lazily allocated flag planes -----------------------------------------
-
-    @property
-    def active(self) -> np.ndarray:
-        """Algorithm 1's Phase-4 flag plane, allocated on first access."""
-        if self._active is None:
-            self._active = np.zeros(self.informed.shape, dtype=bool)
-        return self._active
 
     @property
     def pending(self) -> np.ndarray:
@@ -354,40 +342,34 @@ class VectorState:
             self._pending = np.zeros(self.informed.shape, dtype=bool)
         return self._pending
 
-    # -- sorted informed-index tracking (the engine's active set) --------------
+    # -- sorted index pools ------------------------------------------------------
 
     @property
     def index_dtype(self) -> np.dtype:
         """Narrowest dtype that can hold a flat index into the state."""
         return np.dtype(np.int32 if self.informed.size < 2**31 else np.int64)
 
-    def enable_index_tracking(self) -> None:
-        """Maintain the sorted flat-index vector of informed nodes.
-
-        ``informed_flat`` then always equals
-        ``np.flatnonzero(informed.reshape(-1))`` (ascending), updated by an
-        O(informed + newly) sorted merge at every commit instead of an O(R·n)
-        scan per round; ``newly_flat`` holds the indices committed by the most
-        recent round (initially the source entries, which is exactly the
-        "pushes in round 1" set of the phase-structured protocols).
-        """
-        self._track_indices = True
-        flat = np.arange(self.batch, dtype=self.index_dtype) * self.n + self.source
-        self._informed_flat = flat
-        self._newly_flat = flat
+    def _scan_informed(self) -> np.ndarray:
+        return np.flatnonzero(self.informed.reshape(-1)).astype(
+            self.index_dtype, copy=False
+        )
 
     @property
     def informed_flat(self) -> np.ndarray:
-        """Sorted flat indices of informed nodes (index tracking only)."""
+        """Sorted flat indices of informed nodes.
+
+        Always equals ``np.flatnonzero(informed.reshape(-1))``: one scan on
+        first access, then an O(informed + newly) sorted merge at every
+        commit instead of an O(R·n) scan per round.
+        """
         if self._informed_flat is None:
-            raise RuntimeError("enable_index_tracking() has not been called")
+            self._informed_flat = self._scan_informed()
         return self._informed_flat
 
     @property
     def newly_flat(self) -> np.ndarray:
-        """Flat indices committed by the last round (index tracking only)."""
-        if self._newly_flat is None:
-            raise RuntimeError("enable_index_tracking() has not been called")
+        """Sorted flat indices committed by the last round (initially the
+        source entries)."""
         return self._newly_flat
 
     #: Below this state size a full boolean scan rebuilds ``informed_flat``
@@ -407,15 +389,11 @@ class VectorState:
             else:
                 boundaries = np.arange(self.batch + 1, dtype=np.int64) * self.n
                 self._informed_count += np.diff(np.searchsorted(newly, boundaries))
-        if not self._track_indices:
-            return
         self._newly_flat = newly
-        if newly.size == 0:
+        if newly.size == 0 or self._informed_flat is None:
             return
         if self.informed.size <= self._REBUILD_SCAN_LIMIT:
-            self._informed_flat = np.flatnonzero(
-                self.informed.reshape(-1)
-            ).astype(self.index_dtype, copy=False)
+            self._informed_flat = self._scan_informed()
         else:
             self._informed_flat = merge_sorted_disjoint(self._informed_flat, newly)
 
@@ -473,14 +451,12 @@ class VectorState:
         self._alive_count -= int(ids.size)
         self.informed[0, ids] = False
         self.informed_round[0, ids] = -1
-        if self._active is not None:
-            self._active[0, ids] = False
         if self._pending is not None:
             self._pending[0, ids] = False
         self._informed_count -= informed_removed
-        if self._track_indices:
+        if self._informed_flat is not None:
             self._informed_flat = remove_sorted_values(self._informed_flat, ids)
-            self._newly_flat = remove_sorted_values(self._newly_flat, ids)
+        self._newly_flat = remove_sorted_values(self._newly_flat, ids)
         return informed_removed
 
     def grow_nodes(self, count: int) -> np.ndarray:
@@ -502,8 +478,6 @@ class VectorState:
         old_n = self.n
         self.informed = grown(self.informed, False)
         self.informed_round = grown(self.informed_round, -1)
-        if self._active is not None:
-            self._active = grown(self._active, False)
         if self._pending is not None:
             self._pending = grown(self._pending, False)
         self._alive = grown(self._alive, True)
@@ -531,8 +505,6 @@ class VectorState:
         remap[keep] = np.arange(keep.size, dtype=np.int64)
         self.informed = self.informed[:, keep]
         self.informed_round = self.informed_round[:, keep]
-        if self._active is not None:
-            self._active = self._active[:, keep]
         if self._pending is not None:
             self._pending = self._pending[:, keep]
         self._alive = np.ones((1, keep.size), dtype=bool)
@@ -540,10 +512,10 @@ class VectorState:
         self.n = int(keep.size)
         # Informed ⊆ alive (remove_nodes clears the flag), so every pooled id
         # survives the remap; monotonicity preserves the sorted order.
-        if self._track_indices:
-            dtype = self.index_dtype
+        dtype = self.index_dtype
+        if self._informed_flat is not None:
             self._informed_flat = remap[self._informed_flat].astype(dtype, copy=False)
-            self._newly_flat = remap[self._newly_flat].astype(dtype, copy=False)
+        self._newly_flat = remap[self._newly_flat].astype(dtype, copy=False)
         self.source = int(remap[self.source]) if 0 <= self.source < old_n else -1
         return remap
 
@@ -664,16 +636,14 @@ class VectorState:
         keep = np.asarray(keep, dtype=np.int64)
         self.informed = self.informed[keep]
         self.informed_round = self.informed_round[keep]
-        if self._active is not None:
-            self._active = self._active[keep]
         if self._pending is not None:
             self._pending = self._pending[keep]
         self._informed_count = self._informed_count[keep]
         self.batch = int(keep.size)
-        if self._track_indices:
+        if self._informed_flat is not None:
             self._informed_flat = self.compact_flat_indices(
                 self._informed_flat, keep, self.n, old_batch
             )
-            self._newly_flat = self.compact_flat_indices(
-                self._newly_flat, keep, self.n, old_batch
-            )
+        self._newly_flat = self.compact_flat_indices(
+            self._newly_flat, keep, self.n, old_batch
+        )

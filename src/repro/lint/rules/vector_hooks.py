@@ -1,18 +1,16 @@
 """VEC001 — capability flags must come with their ``vector_*`` hook methods.
 
-Invariant: the vectorized engines trust the opt-in class flags.
-``supports_vectorized = True`` on a protocol promises the bulk decision hooks
-(``vector_fanout`` / ``vector_wants_push`` / ``vector_wants_pull``) agree
-node-for-node with the scalar ones; the *same flag name* on a churn model
-(any class descending from ``ChurnModel``) promises the bulk membership hook
-``vector_apply`` instead — the rule selects the contract variant by ancestry.
-``uses_index_pools = True`` promises at least one index-pool hook
-(``vector_push_samplers`` / ``vector_caller_pool``) actually exists,
-otherwise the flag silently buys nothing; and
-``has_custom_vector_targets = True`` promises a ``vector_call_targets``
-implementation.  A flag without its hooks either crashes mid-sweep (the base
-class stubs raise) or — worse — runs a different draw sequence than the
-scalar engine and breaks parity.  The check is structural, at class
+Invariant: the vectorized engine trusts the opt-in class flag.
+``supports_vectorized = True`` on a protocol promises ``vector_fanout`` plus
+the decision hook of at least one round type: ``vector_push_samplers`` (the
+index pool push-only rounds sample) or ``vector_wants_pull`` (the mask pull
+rounds gather).  The *same flag name* on a churn model (any class descending
+from ``ChurnModel``) promises the bulk membership hook ``vector_apply``
+instead — the rule selects the contract variant by ancestry.  A flag without
+its hooks crashes mid-sweep (the base class stubs raise).  Which hooks a
+protocol's schedule needs is a runtime fact the rule cannot see; the
+contract test in ``tests/test_vector_contract.py`` checks each hook against
+the scalar rules round by round.  The check is structural, at class
 definition level, resolving base classes *by name across the whole linted
 file set* so hooks provided by an intermediate base in another module count.
 
@@ -32,18 +30,13 @@ from ..rule import ZONE_PACKAGE, LintContext, Rule, register_rule
 
 __all__ = ["VectorHookContractRule"]
 
-#: flag -> (mode, required method names); ``all`` needs every name, ``any``
-#: needs at least one.
+#: flag -> required hook groups; every group needs at least one of its
+#: method names concretely defined.
 _CONTRACTS = {
     "supports_vectorized": (
-        "all",
-        ("vector_fanout", "vector_wants_push", "vector_wants_pull"),
+        ("vector_fanout",),
+        ("vector_push_samplers", "vector_wants_pull"),
     ),
-    "uses_index_pools": (
-        "any",
-        ("vector_push_samplers", "vector_caller_pool"),
-    ),
-    "has_custom_vector_targets": ("all", ("vector_call_targets",)),
 }
 
 #: Contract variants keyed by the ancestor class that re-scopes the flag.
@@ -51,7 +44,7 @@ _CONTRACTS = {
 #: engine's *membership* surface, whose only hook is ``vector_apply``.
 _SCOPED_CONTRACTS = {
     "ChurnModel": {
-        "supports_vectorized": ("all", ("vector_apply",)),
+        "supports_vectorized": (("vector_apply",),),
     },
 }
 
@@ -80,9 +73,8 @@ class VectorHookContractRule(Rule):
     id = "VEC001"
     slug = "vector-hook-contract"
     summary = (
-        "a class setting supports_vectorized/uses_index_pools/"
-        "has_custom_vector_targets must concretely define the matching "
-        "vector_* hooks (in itself or a non-abstract base)"
+        "a class setting supports_vectorized must concretely define the "
+        "matching vector_* hooks (in itself or a non-abstract base)"
     )
     hint = (
         "implement the missing vector_* hook(s) so the bulk engines run the "
@@ -106,7 +98,7 @@ class VectorHookContractRule(Rule):
             for root_name, overrides in _SCOPED_CONTRACTS.items():
                 if _descends_from(ctx, record, root_name):
                     contracts.update(overrides)
-            for flag, (mode, required) in contracts.items():
+            for flag, groups in contracts.items():
                 declared = record.flags.get(flag)
                 if declared is None or declared[0] is not True:
                     continue
@@ -117,17 +109,14 @@ class VectorHookContractRule(Rule):
                         for name, concrete in ancestor.methods.items()
                         if concrete
                     )
-                missing = [name for name in required if name not in provided]
-                satisfied = (
-                    not missing if mode == "all" else len(missing) < len(required)
-                )
-                if satisfied:
+                missing = [
+                    group
+                    for group in groups
+                    if not any(name in provided for name in group)
+                ]
+                if not missing:
                     continue
-                wanted = (
-                    " and ".join(missing)
-                    if mode == "all"
-                    else " or ".join(required)
-                )
+                wanted = " and ".join(" or ".join(group) for group in missing)
                 _, lineno, col = declared
                 yield self.diagnostic(
                     ctx,

@@ -90,8 +90,8 @@ class Algorithm1(BroadcastProtocol):
         if fanout != 4:
             self.name = f"algorithm1-f{fanout}"
         # Sorted flat indices of Phase-3/4 "active" nodes, maintained by the
-        # bulk commit hook (the index-pool counterpart of the boolean
-        # ``state.active`` plane).  Per-run state, dropped by reset().
+        # bulk commit hook (the bulk counterpart of ``NodeState.active``).
+        # Per-run state, dropped by reset().
         self._active_flat: Optional[np.ndarray] = None
 
     def reset(self) -> None:
@@ -134,56 +134,37 @@ class Algorithm1(BroadcastProtocol):
     def wants_pull(self, state: NodeState, round_index: int) -> bool:
         return state.informed and self.schedule.phase_of(round_index) == 3
 
-    # -- bulk hooks -----------------------------------------------------------------
-
-    uses_index_pools = True
+    # -- bulk hooks (phases 1, 2 and 4 push-only, phase 3 pull) ------------------
 
     def vector_fanout(self, round_index: int) -> int:
         return self._fanout
 
-    def vector_wants_push(self, round_index: int, state: VectorState) -> np.ndarray:
-        phase = self.schedule.phase_of(round_index)
-        if phase == 1:
-            return state.informed & (state.informed_round == round_index - 1)
-        if phase == 2:
-            return state.informed
-        if phase == 4:
-            return state.informed & (
-                state.active | (state.informed_round == round_index - 1)
-            )
-        return np.zeros(state.shape, dtype=bool)
-
-    def vector_push_samplers(
-        self, round_index: int, state: VectorState
-    ) -> Optional[np.ndarray]:
+    def vector_push_samplers(self, round_index: int, state: VectorState) -> np.ndarray:
         phase = self.schedule.phase_of(round_index)
         if phase == 1:
             # Exactly the nodes first informed in the previous round — the
-            # engine hands them to us as last round's commit set.
+            # state hands them to us as last round's commit set.
             return state.newly_flat
         if phase == 2:
             return state.informed_flat
-        if phase == 4:
-            # active ∪ newly(r-1): every Phase-4 round is preceded by a
-            # Phase-3/4 round, whose commit already merged its newly informed
-            # nodes into the active list, so the list alone is the push set.
-            if self._active_flat is None:
-                return state.newly_flat[:0]
-            return self._active_flat
-        return state.newly_flat[:0]
+        # Phase 4, active ∪ newly(r-1).  After a Phase-3/4 round the commit
+        # hook has already merged newly(r-1) into the active list, so the
+        # list alone is the push set.  A Phase-4 round right after Phase 2 (a
+        # custom schedule with an empty Phase 3) has no active node yet and
+        # pushes exactly last round's commits.
+        if round_index == 1 or self.schedule.phase_of(round_index - 1) < 3:
+            return state.newly_flat
+        if self._active_flat is None:
+            return state.newly_flat[:0]
+        return self._active_flat
 
     def vector_wants_pull(self, round_index: int, state: VectorState) -> np.ndarray:
-        if self.schedule.phase_of(round_index) == 3:
-            return state.informed
-        return np.zeros(state.shape, dtype=bool)
+        return state.informed
 
     def vector_on_round_committed(
         self, round_index: int, state: VectorState, newly_informed: np.ndarray
     ) -> None:
         if self.schedule.phase_of(round_index) >= 3 and newly_informed.size:
-            # newly_informed holds flat indices (row-major for a batch), so
-            # flip the flag through the flattened view.
-            state.active.reshape(-1)[newly_informed] = True
             if self._active_flat is None:
                 self._active_flat = newly_informed.copy()
             else:

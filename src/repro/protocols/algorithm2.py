@@ -86,39 +86,22 @@ class Algorithm2(BroadcastProtocol):
     def wants_pull(self, state: NodeState, round_index: int) -> bool:
         return state.informed and self.schedule.phase_of(round_index) == 3
 
-    # -- bulk hooks -----------------------------------------------------------------
-
-    uses_index_pools = True
+    # -- bulk hooks (phases 1-2 push-only, phase 3 pull) -------------------------
 
     def vector_fanout(self, round_index: int) -> int:
         return self._fanout
 
-    def vector_wants_push(self, round_index: int, state: VectorState) -> np.ndarray:
-        phase = self.schedule.phase_of(round_index)
-        if phase == 1:
-            return state.informed & (state.informed_round == round_index - 1)
-        if phase == 2:
-            return state.informed
-        return np.zeros(state.shape, dtype=bool)
-
-    def vector_push_samplers(
-        self, round_index: int, state: VectorState
-    ) -> Optional[np.ndarray]:
-        phase = self.schedule.phase_of(round_index)
-        if phase == 1:
+    def vector_push_samplers(self, round_index: int, state: VectorState) -> np.ndarray:
+        if self.schedule.phase_of(round_index) == 1:
             return state.newly_flat
-        if phase == 2:
-            return state.informed_flat
-        return state.newly_flat[:0]
+        return state.informed_flat
 
     def vector_wants_pull(self, round_index: int, state: VectorState) -> np.ndarray:
         # The pull tail: every informed node answers all incoming calls, so
         # the mask covers the informed set and the engine's many-to-one pull
         # accounting (one transmission per caller whose callee answers) does
         # the rest in bulk.
-        if self.schedule.phase_of(round_index) == 3:
-            return state.informed
-        return np.zeros(state.shape, dtype=bool)
+        return state.informed
 
     def describe(self) -> dict:
         description = super().describe()

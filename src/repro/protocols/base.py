@@ -31,6 +31,21 @@ class BroadcastProtocol(ABC):
     the quasirandom pointer table) and is parameterised by the network size
     estimate ``n_estimate`` the nodes are assumed to share.  The engine calls
     the hooks in the order documented on each method.
+
+    The bulk engine (``supports_vectorized``) asks each question in one
+    representation, and only in the rounds that need it:
+
+    * push-only rounds sample exactly :meth:`vector_push_samplers`, a sorted
+      flat index pool;
+    * pull rounds gather :meth:`vector_wants_pull` over the sampled
+      channels, and mixed (push and pull) rounds also
+      :meth:`vector_wants_push`;
+    * every round charges channels to :meth:`vector_caller_pool` (``None``:
+      every node with a neighbour) and samples :meth:`vector_fanout` stubs
+      per caller, or calls an overridden :meth:`vector_call_targets`.
+
+    A protocol implements the hooks of the round types it has; the base
+    stubs raise.
     """
 
     #: Human-readable protocol name used in results and tables.
@@ -47,17 +62,17 @@ class BroadcastProtocol(ABC):
     needs_exchange_hook: bool = False
 
     #: Opt-in capability flag for the bulk NumPy engine.  A protocol that sets
-    #: this True promises that (a) the three ``vector_*`` decision hooks below
-    #: are implemented and agree node-for-node with ``fanout`` / ``wants_push``
-    #: / ``wants_pull``, (b) its fanout is uniform across nodes within a
-    #: round, (c) it does not use the contact-memory mechanism
+    #: this True promises that (a) it implements ``vector_fanout`` and the
+    #: bulk decision hooks for the round types it has (see the class
+    #: docstring), and they agree node-for-node with ``fanout`` /
+    #: ``wants_push`` / ``wants_pull``, (b) its fanout is uniform across nodes
+    #: within a round, (c) it does not use the contact-memory mechanism
     #: (``memory_window == 0``), and a custom ``select_call_targets`` has a
-    #: ``vector_call_targets`` counterpart (flagged via
-    #: ``has_custom_vector_targets``), and
-    #: (d) it relies on none of the :class:`StateTable`-based lifecycle hooks
-    #: the bulk engine never calls: ``on_round_start`` and ``finished`` must
-    #: keep their defaults, and an ``on_round_committed`` override needs a
-    #: ``vector_on_round_committed`` counterpart.  The dispatcher
+    #: ``vector_call_targets`` override, and (d) it relies on none of the
+    #: :class:`StateTable`-based lifecycle hooks the bulk engine never calls:
+    #: ``on_round_start`` and ``finished`` must keep their defaults, and an
+    #: ``on_round_committed`` override needs a ``vector_on_round_committed``
+    #: counterpart.  The dispatcher
     #: (:func:`repro.core.engine_vectorized.vectorization_unsupported_reason`)
     #: enforces (c) and (d) and falls back to the scalar engine when violated.
     supports_vectorized: bool = False
@@ -139,18 +154,6 @@ class BroadcastProtocol(ABC):
 
     # -- bulk (vectorized) hooks ------------------------------------------------
 
-    def vector_caller_mask(self, round_index: int, state: VectorState) -> Optional[np.ndarray]:
-        """Mask of nodes that open channels during ``round_index``, or ``None``.
-
-        ``None`` (the default) means every node opens ``min(fanout, degree)``
-        channels, which is the full phone-call model and what the engines'
-        arithmetic channel accounting assumes.  Protocols whose *uninformed*
-        nodes stay silent (scalar ``fanout`` returns 0 for them — e.g. the
-        quasirandom protocol) return the mask of calling nodes instead so the
-        bulk engines charge channels identically to the scalar engine.
-        """
-        return None
-
     def vector_call_targets(
         self,
         round_index: int,
@@ -172,55 +175,37 @@ class BroadcastProtocol(ABC):
         per-replication ``generator`` for any randomness; ``row`` is the
         replication's state row (``0`` for a single run) so per-node protocol
         state can be kept per replication.
-        Only consulted when :attr:`has_custom_vector_targets` is True, and
-        only for protocols with uniform fanout 1.
+        The engine uses it exactly when a subclass overrides it, and only for
+        protocols with uniform fanout 1.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the bulk target hook"
         )
 
-    #: True if the protocol overrides :meth:`vector_call_targets`; cheap class
-    #: check so engines skip the hook entirely in the common uniform case.
-    has_custom_vector_targets: bool = False
+    def vector_push_samplers(self, round_index: int, state: VectorState) -> np.ndarray:
+        """Sorted flat indices of this round's pushers (push-only rounds).
 
-    #: Opt-in for the engines' sorted informed-index tracking
-    #: (:meth:`repro.core.node.VectorState.enable_index_tracking`).  Protocols
-    #: that set this True may implement :meth:`vector_push_samplers` /
-    #: :meth:`vector_caller_pool` in terms of ``state.informed_flat`` /
-    #: ``state.newly_flat``, letting push-only rounds sample in O(informed)
-    #: instead of scanning every node's flag.
-    uses_index_pools: bool = False
-
-    def vector_push_samplers(
-        self, round_index: int, state: VectorState
-    ) -> Optional[np.ndarray]:
-        """Sorted flat indices of this round's pushers, or ``None``.
-
-        Index-vector counterpart of :meth:`vector_wants_push`, consulted only
-        in push-only rounds of protocols with :attr:`uses_index_pools`.  The
-        returned array must equal
-        ``np.flatnonzero(vector_wants_push(...).reshape(-1))`` — same set,
-        ascending order — so the draw sequence is unchanged whichever
-        representation the engine uses.  Protocols typically return a view of
-        an engine-maintained set (``state.informed_flat``,
-        ``state.newly_flat``) or of their own sorted index table; ``None``
-        falls back to the boolean-mask path.  A subclass that overrides
-        :meth:`vector_wants_push` must override this consistently (or return
-        ``None``).
+        Must equal ``{row * n + v : wants_push(states[v], round_index)}`` in
+        ascending order, so the draw sequence follows the node order.
+        Protocols typically return a view of a pool the state maintains
+        (``state.informed_flat``, ``state.newly_flat``) or of their own sorted
+        index table.  Required for protocols with push-only rounds.
         """
-        return None
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement the bulk push-sampler hook"
+        )
 
     def vector_caller_pool(
         self, round_index: int, state: VectorState
     ) -> Optional[np.ndarray]:
-        """Sorted flat indices of the calling nodes, or ``None``.
+        """Sorted flat indices of the nodes that open channels, or ``None``.
 
-        Index-vector counterpart of :meth:`vector_caller_mask` for channel
-        accounting: when a protocol's callers are exactly an engine-maintained
-        index set (e.g. the quasirandom protocol's informed nodes), returning
-        it lets the engines charge channels with an O(callers) segment sum
-        instead of an O(R·n) mask reduction.  ``None`` (the default) keeps the
-        mask path.  Must describe the same set as :meth:`vector_caller_mask`.
+        ``None`` (the default) means every node with a neighbour opens
+        ``min(fanout, degree)`` channels — the full phone-call model.
+        Protocols whose *uninformed* nodes stay silent (scalar ``fanout``
+        returns 0 for them — e.g. the quasirandom protocol) return the pool
+        of calling nodes so the engine charges channels exactly as the scalar
+        engine does, with an O(callers) segment sum.
         """
         return None
 
@@ -256,8 +241,8 @@ class BroadcastProtocol(ABC):
 
         Called by the vectorized engine's dynamic-membership mode immediately
         after ``ids`` (sorted, ascending) have been tombstoned in ``state``.
-        The engine already clears the engine-owned planes (informed / active /
-        pending flags and the sorted index pools); protocols that mirror node
+        The engine already clears the engine-owned planes (informed / pending
+        flags and the sorted index pools); protocols that mirror node
         ids in their *own* structures — Algorithm 1's sorted active set, a
         pointer table — must drop the departed entries here.  Stateless
         protocols inherit the no-op.
@@ -286,9 +271,11 @@ class BroadcastProtocol(ABC):
         )
 
     def vector_wants_push(self, round_index: int, state: VectorState) -> np.ndarray:
-        """Boolean mask over all nodes that push during ``round_index``.
+        """``bool[R, n]`` mask of the nodes that push in a mixed round.
 
-        Must equal ``[wants_push(states[v], round_index) for v in nodes]``
+        Consulted only in rounds that are both push and pull rounds, where
+        every node samples and the pushers are gathered per channel.  Must
+        equal ``[wants_push(states[v], round_index) for v in nodes]``
         element-wise; the returned array (or view) is not mutated by the
         engine but must not alias writable protocol state.
         """
@@ -297,7 +284,11 @@ class BroadcastProtocol(ABC):
         )
 
     def vector_wants_pull(self, round_index: int, state: VectorState) -> np.ndarray:
-        """Boolean mask over all nodes that answer calls during ``round_index``."""
+        """``bool[R, n]`` mask of the nodes that answer calls in a pull round.
+
+        Consulted only in pull rounds (and mixed rounds); must equal
+        ``[wants_pull(states[v], round_index) for v in nodes]`` element-wise.
+        """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the bulk pull hook"
         )

@@ -66,17 +66,14 @@ class PullProtocol(BroadcastProtocol, OptionalHorizonMixin):
     def wants_pull(self, state: NodeState, round_index: int) -> bool:
         return state.informed
 
-    # -- bulk hooks -----------------------------------------------------------
+    # -- bulk hooks (every round is a pull round) -------------------------------
 
-    # No index pools: pull rounds sample every node with a neighbour (any
-    # caller may receive), so there is no push-only sampling to shrink; the
-    # engines' delivery path still commits only the uninformed hits sparsely.
+    # Pull rounds sample every node with a neighbour (any caller may
+    # receive); the engine's delivery path still commits only the uninformed
+    # hits sparsely.
 
     def vector_fanout(self, round_index: int) -> int:
         return self._fanout
-
-    def vector_wants_push(self, round_index: int, state: VectorState) -> np.ndarray:
-        return np.zeros(state.shape, dtype=bool)
 
     def vector_wants_pull(self, round_index: int, state: VectorState) -> np.ndarray:
         return state.informed

@@ -80,23 +80,15 @@ class PushProtocol(BroadcastProtocol, OptionalHorizonMixin):
     def wants_pull(self, state: NodeState, round_index: int) -> bool:
         return False
 
-    # -- bulk hooks -----------------------------------------------------------
-
-    uses_index_pools = True
+    # -- bulk hooks (every round is push-only) ----------------------------------
 
     def vector_fanout(self, round_index: int) -> int:
         return self._fanout
 
-    def vector_wants_push(self, round_index: int, state: VectorState) -> np.ndarray:
-        return state.informed
-
     def vector_push_samplers(self, round_index: int, state: VectorState) -> np.ndarray:
-        # Pushers are exactly the informed nodes, which the engine already
+        # Pushers are exactly the informed nodes, which the state already
         # maintains as a sorted index vector — sampling is O(informed).
         return state.informed_flat
-
-    def vector_wants_pull(self, round_index: int, state: VectorState) -> np.ndarray:
-        return np.zeros(state.shape, dtype=bool)
 
     def describe(self) -> dict:
         description = super().describe()

@@ -95,11 +95,11 @@ class PushPullProtocol(BroadcastProtocol, OptionalHorizonMixin):
     def wants_pull(self, state: NodeState, round_index: int) -> bool:
         return state.informed
 
-    # -- bulk hooks -----------------------------------------------------------
+    # -- bulk hooks (every round is a mixed push + pull round) ----------------
 
-    # No index pools: every round is also a pull round, so the engines sample
-    # every node with a neighbour regardless of the push set; the push subset
-    # is selected by one mask gather over the sampled channels instead.
+    # Every round is also a pull round, so the engine samples every node with
+    # a neighbour regardless of the push set; the push subset is selected by
+    # one mask gather over the sampled channels.
 
     def vector_fanout(self, round_index: int) -> int:
         return self._fanout

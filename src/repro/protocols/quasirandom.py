@@ -36,7 +36,6 @@ class QuasirandomPushProtocol(BroadcastProtocol, OptionalHorizonMixin):
 
     name = "quasirandom-push"
     supports_vectorized = True
-    has_custom_vector_targets = True
 
     def __init__(
         self,
@@ -99,31 +98,19 @@ class QuasirandomPushProtocol(BroadcastProtocol, OptionalHorizonMixin):
         self._pointers[node_id] = pointer + 1
         return [target]
 
-    # -- bulk hooks -----------------------------------------------------------
-
-    uses_index_pools = True
+    # -- bulk hooks (every round is push-only) ----------------------------------
 
     def vector_fanout(self, round_index: int) -> int:
         return 1
 
-    def vector_caller_mask(self, round_index: int, state: VectorState) -> np.ndarray:
-        # Uninformed nodes have fanout 0 in the scalar model, so they must
-        # not be charged channels by the bulk engines either.
-        return state.informed
-
     def vector_caller_pool(self, round_index: int, state: VectorState) -> np.ndarray:
-        # Same set as the caller mask, as the engine-maintained index vector:
-        # channel accounting becomes an O(informed) segment sum.
+        # Uninformed nodes have fanout 0 in the scalar model, so they must
+        # not be charged channels by the bulk engine either: the callers are
+        # the informed nodes, and channel accounting is an O(informed) sum.
         return state.informed_flat
-
-    def vector_wants_push(self, round_index: int, state: VectorState) -> np.ndarray:
-        return state.informed
 
     def vector_push_samplers(self, round_index: int, state: VectorState) -> np.ndarray:
         return state.informed_flat
-
-    def vector_wants_pull(self, round_index: int, state: VectorState) -> np.ndarray:
-        return np.zeros(state.shape, dtype=bool)
 
     def vector_compact_rows(self, keep: np.ndarray, n: int, old_batch: int) -> None:
         # The cursor table is per replication; drop the completed rows so it

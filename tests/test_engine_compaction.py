@@ -220,7 +220,8 @@ class TestCompactionMechanics:
 
     def test_compact_rows_keeps_informed_flat_invariant(self):
         state = VectorState(n=6, source=2, batch=4)
-        state.enable_index_tracking()
+        # Build the pool before the commit, so compaction has to carry it.
+        assert state.informed_flat.tolist() == [2, 8, 14, 20]
         state.commit_delivered(np.array([0, 7, 13, 14, 21]), round_index=1)
         state.compact_rows(np.array([1, 3]))
         assert state.batch == 2

@@ -92,8 +92,18 @@ class TestPhaseAndBaselineExperiments:
 
     def test_e12_degree_sweep_structure(self):
         table = run_degree(quick=True, n=256, degrees=[4, 8])
-        assert len(table.rows) == 4
+        assert len(table.rows) == 8
         assert all(row["success_rate"] == 1.0 for row in table.rows)
+        rows = {(row["protocol"], row["d"]): row for row in table.rows}
+        for d in (4, 8):
+            # The full schedule runs past the phases both algorithms share,
+            # so their rows must differ there.
+            first, second = rows["algorithm1-full", d], rows["algorithm2-full", d]
+            assert (first["tx_per_node"], first["rounds_executed"]) != (
+                second["tx_per_node"],
+                second["rounds_executed"],
+            )
+            assert rows["algorithm1", d]["rounds_executed"] < first["rounds_executed"]
 
 
 class TestRobustnessExperiments:

@@ -185,16 +185,17 @@ class TestSeedStability:
 _CONTRACT_ROOT = """
 class BroadcastProtocol:
     supports_vectorized = False
-    uses_index_pools = False
-    has_custom_vector_targets = False
 
     def vector_fanout(self, round_index):
         raise NotImplementedError("vectorized hooks not provided")
 
-    def vector_wants_push(self, states):
+    def vector_push_samplers(self, round_index, state):
         raise NotImplementedError("vectorized hooks not provided")
 
-    def vector_wants_pull(self, states):
+    def vector_wants_push(self, round_index, state):
+        raise NotImplementedError("vectorized hooks not provided")
+
+    def vector_wants_pull(self, round_index, state):
         raise NotImplementedError("vectorized hooks not provided")
 """
 
@@ -219,10 +220,10 @@ class TestVectorHookContract:
             "    supports_vectorized = True\n"
             "    def vector_fanout(self, round_index):\n"
             "        return 1\n"
-            "    def vector_wants_push(self, states):\n"
-            "        return states\n"
-            "    def vector_wants_pull(self, states):\n"
-            "        return states\n"
+            "    def vector_push_samplers(self, round_index, state):\n"
+            "        return state\n"
+            "    def vector_wants_pull(self, round_index, state):\n"
+            "        return state\n"
         )
         assert lint_one("VEC001", {"src/repro/protocols/x.py": src}) == []
 
@@ -235,7 +236,20 @@ class TestVectorHookContract:
         )
         diags = lint_one("VEC001", {"src/repro/protocols/x.py": src})
         assert len(diags) == 1
-        assert "vector_wants_push" in diags[0].message
+        assert "vector_push_samplers or vector_wants_pull" in diags[0].message
+
+    def test_mixed_round_mask_alone_does_not_satisfy(self):
+        # vector_wants_push is only consulted in mixed rounds, next to
+        # vector_wants_pull; on its own it answers no round type.
+        src = _CONTRACT_ROOT + (
+            "\n\nclass Fast(BroadcastProtocol):\n"
+            "    supports_vectorized = True\n"
+            "    def vector_fanout(self, round_index):\n"
+            "        return 1\n"
+            "    def vector_wants_push(self, round_index, state):\n"
+            "        return state\n"
+        )
+        assert len(lint_one("VEC001", {"src/repro/protocols/x.py": src})) == 1
 
     def test_raising_stub_does_not_satisfy_contract(self):
         # The contract root's raising stubs exist so the scalar engine gets
@@ -245,10 +259,8 @@ class TestVectorHookContract:
             "    supports_vectorized = True\n"
             "    def vector_fanout(self, round_index):\n"
             "        raise NotImplementedError\n"
-            "    def vector_wants_push(self, states):\n"
-            "        return states\n"
-            "    def vector_wants_pull(self, states):\n"
-            "        return states\n"
+            "    def vector_push_samplers(self, round_index, state):\n"
+            "        return state\n"
         )
         diags = lint_one("VEC001", {"src/repro/protocols/x.py": src})
         assert len(diags) == 1
@@ -259,10 +271,8 @@ class TestVectorHookContract:
             "\n\nclass VectorMixin(BroadcastProtocol):\n"
             "    def vector_fanout(self, round_index):\n"
             "        return 1\n"
-            "    def vector_wants_push(self, states):\n"
-            "        return states\n"
-            "    def vector_wants_pull(self, states):\n"
-            "        return states\n"
+            "    def vector_wants_pull(self, round_index, state):\n"
+            "        return state\n"
         )
         leaf = (
             "from .base import VectorMixin\n\n\n"
@@ -279,26 +289,22 @@ class TestVectorHookContract:
         # Declaring the flag False is the interface, not a violation.
         assert lint_one("VEC001", {"src/repro/protocols/base.py": _CONTRACT_ROOT}) == []
 
-    def test_index_pools_any_semantics(self):
+    def test_decision_hook_any_semantics(self):
+        # A push-only protocol needs only the sampler pool, a pull-only one
+        # only the pull mask.
         flagged = _CONTRACT_ROOT + (
-            "\n\nclass Pooled(BroadcastProtocol):\n"
-            "    uses_index_pools = True\n"
+            "\n\nclass Fast(BroadcastProtocol):\n"
+            "    supports_vectorized = True\n"
+            "    def vector_fanout(self, round_index):\n"
+            "        return 1\n"
         )
-        ok = flagged + (
-            "    def vector_caller_pool(self, rng):\n"
-            "        return None\n"
-        )
+        for hook in ("vector_push_samplers", "vector_wants_pull"):
+            ok = flagged + (
+                f"    def {hook}(self, round_index, state):\n"
+                "        return state\n"
+            )
+            assert lint_one("VEC001", {"src/repro/protocols/x.py": ok}) == []
         assert lint_one("VEC001", {"src/repro/protocols/x.py": flagged})
-        assert lint_one("VEC001", {"src/repro/protocols/x.py": ok}) == []
-
-    def test_custom_targets_contract(self):
-        src = _CONTRACT_ROOT + (
-            "\n\nclass Quasi(BroadcastProtocol):\n"
-            "    has_custom_vector_targets = True\n"
-        )
-        diags = lint_one("VEC001", {"src/repro/protocols/x.py": src})
-        assert len(diags) == 1
-        assert "vector_call_targets" in diags[0].message
 
 
 _CHURN_CONTRACT_ROOT = '''\
